@@ -14,7 +14,8 @@ The paper's simulator runs the concurrent algorithms "on actual B-trees"
 * :mod:`~repro.btree.policies` — merge-at-empty vs merge-at-half
   restructuring (paper Section 3.2, "B-trees").
 * :mod:`~repro.btree.builder` — the construction phase: build a tree from
-  a random insert/delete mix before concurrent operation begins.
+  a random insert/delete mix before concurrent operation begins
+  (``warm_tree`` builds each distinct tree once and clones it after).
 * :mod:`~repro.btree.validate` — structural invariant checker used by the
   property-based tests.
 * :mod:`~repro.btree.stats` — per-level shape statistics (fanout, fill

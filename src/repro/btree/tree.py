@@ -24,6 +24,7 @@ serves all three concurrency-control schemes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode, Node
@@ -125,19 +126,20 @@ class BPlusTree:
         """Descend to the leaf responsible for ``key`` (no link chasing
         needed in sequential use)."""
         node = self.root
-        while not node.is_leaf:
-            node = node.child_for(key)  # type: ignore[union-attr]
+        while node.level != 1:
+            node = node.children[bisect_right(node.keys, key)]  # type: ignore[union-attr]
         return node  # type: ignore[return-value]
 
     def path_to(self, key: int) -> List[Node]:
         """Root-to-leaf path for ``key`` (root first)."""
-        path: List[Node] = []
+        # Every construction-phase operation starts here, so the
+        # descent is inlined (no is_leaf / child_for calls per level).
         node = self.root
-        while True:
+        path: List[Node] = [node]
+        while node.level != 1:
+            node = node.children[bisect_right(node.keys, key)]  # type: ignore[union-attr]
             path.append(node)
-            if node.is_leaf:
-                return path
-            node = node.child_for(key)  # type: ignore[union-attr]
+        return path
 
     def search(self, key: int) -> bool:
         """Membership test."""

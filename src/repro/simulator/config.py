@@ -87,6 +87,11 @@ class SimulationConfig:
             raise ConfigurationError("warmup_operations must be >= 0")
         if self.max_population < 1:
             raise ConfigurationError("max_population must be >= 1")
+        if self.n_items > self.key_space:
+            # The construction phase could never find that many keys.
+            raise ConfigurationError(
+                f"n_items ({self.n_items}) exceeds key_space "
+                f"({self.key_space})")
         if self.recovery not in ("no-recovery", "leaf-only-recovery",
                                  "naive-recovery"):
             raise ConfigurationError(f"unknown recovery {self.recovery!r}")

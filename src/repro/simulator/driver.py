@@ -28,7 +28,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms import get_algorithm
-from repro.btree.builder import build_tree
+from repro.btree.builder import warm_tree
 from repro.btree.node import Node
 from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
@@ -171,7 +171,7 @@ def _prepare_run(config: SimulationConfig, trace=None,
     module = get_algorithm(config.algorithm).ops
 
     seed_root = random.Random(config.seed)
-    rng_build = random.Random(seed_root.randrange(2 ** 63))
+    build_seed = seed_root.randrange(2 ** 63)
     rng_arrivals = random.Random(seed_root.randrange(2 ** 63))
     rng_keys = random.Random(seed_root.randrange(2 ** 63))
     rng_service = random.Random(seed_root.randrange(2 ** 63))
@@ -197,11 +197,11 @@ def _prepare_run(config: SimulationConfig, trace=None,
             telemetry.watch(lock, node.level)
         node.lock = lock
 
-    tree = build_tree(
+    tree = warm_tree(
         config.n_items, order=config.order,
         insert_fraction=config.mix.insert_share or 1.0,
         merge_policy=config.merge_policy, key_space=config.key_space,
-        rng=rng_build, on_new_node=attach_lock,
+        seed=build_seed, on_new_node=attach_lock,
     )
 
     sim = Simulator(trace=trace,

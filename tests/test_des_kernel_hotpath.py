@@ -7,7 +7,9 @@ interned commands, bare-float holds, O(1) writer-waiting counter):
   fingerprints captured when the rewrite was proven byte-identical to
   the pre-rewrite kernel.  Any change to event ordering, RNG stream
   consumption, or result contents shows up here (and must be paired
-  with a ``CODE_SALT`` bump in ``repro.parallel.cache``).
+  with a ``CODE_SALT`` bump in ``repro.parallel.cache``).  The same
+  digests must hold when the warm-up tree comes from the construction
+  memo instead of a fresh build.
 * **Typed-event scheduling paths** — every heap-record kind
   (action / start / resume) and every command spelling the step loop
   accepts, including the error paths.
@@ -22,6 +24,7 @@ import random
 
 import pytest
 
+from repro.btree import builder
 from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
 from repro.des.distributions import Hyperexponential
 from repro.des.trace import TraceLog
@@ -87,6 +90,32 @@ def test_golden_seed_closed_system():
     result = run_closed_simulation(config, multiprogramming_level=8,
                                    think_time=2.0)
     assert fingerprint(result) == GOLDEN_CLOSED
+
+
+@pytest.mark.parametrize("algorithm,rate,seed", sorted(GOLDEN_OPEN),
+                         ids=lambda v: str(v))
+def test_golden_seed_open_system_on_memo_hits(algorithm, rate, seed):
+    # The first run builds the warm-up tree; the run at another rate
+    # and the repeat are served clones of it from the construction memo.
+    builder._memo.clear()
+    config = SimulationConfig(algorithm=algorithm, arrival_rate=rate,
+                              n_items=2000, n_operations=400,
+                              warmup_operations=50, seed=seed)
+    built = fingerprint(run_simulation(config))
+    run_simulation(config.with_rate(rate * 1.5))
+    served = fingerprint(run_simulation(config))
+    assert len(builder._memo) == 1
+    assert built == served == GOLDEN_OPEN[(algorithm, rate, seed)]
+
+
+def test_golden_seed_closed_system_on_memo_hit():
+    builder._memo.clear()
+    config = SimulationConfig(algorithm="optimistic-descent", n_items=1000,
+                              n_operations=200, warmup_operations=20, seed=3)
+    digests = [fingerprint(run_closed_simulation(
+        config, multiprogramming_level=8, think_time=2.0)) for _ in range(2)]
+    assert len(builder._memo) == 1
+    assert digests == [GOLDEN_CLOSED, GOLDEN_CLOSED]
 
 
 # ----------------------------------------------------------------------
