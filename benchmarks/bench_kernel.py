@@ -10,23 +10,7 @@ Two layers of measurement:
    apples-to-apples measure of pure kernel overhead and the recorded
    ``speedup`` is the regression gate for the hot-path work.
 
-2. **Vectorized batch kernel** — the same lock-contention workload run
-   through the numpy struct-of-arrays kernel (:mod:`repro.des.vector`)
-   at several batch widths, against a freshly measured scalar-kernel
-   oracle on the identical workload.  ``speedup_vs_scalar`` is the
-   per-dispatch amortization win; lane 0 is spot-checked bit-identical
-   against the oracle inside the bench itself.
-
-3. **Vectorized B-tree descent kernel** — full search/insert
-   replications (lock-coupled and optimistic descents, node occupancy,
-   splits, redo descents) through :mod:`repro.des.vector_btree` at
-   several batch widths *and* at the width the measured cost model
-   picks (:mod:`repro.des.autotune`), against the scalar
-   simulator-oracle baseline on the identical schedule.  Lane 0 is
-   asserted bit-identical in-bench; the ``autotuned`` entries are the
-   ``--min-vec-speedup`` gate's subject alongside the lock microbench.
-
-4. **End-to-end ops/sec per algorithm** — wall-clock operations per
+2. **End-to-end ops/sec per algorithm** — wall-clock operations per
    second of :func:`repro.simulator.run_simulation` at a fixed small
    scale for the three core algorithms.  These track whole-stack
    throughput (tree + locks + metrics on top of the kernel).
@@ -42,7 +26,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py [--scale 1.0]
         [--repeat 3] [--out BENCH_kernel.json] [--min-speedup 0]
-        [--min-vec-speedup 0]
 """
 
 from __future__ import annotations
@@ -66,7 +49,7 @@ from repro.des.rwlock import RWLock  # noqa: E402
 from repro.simulator import SimulationConfig, run_simulation  # noqa: E402
 
 #: Bump when the JSON layout changes.  v2: per-bench ``generated_at``
-#: + ``git_rev`` provenance and the ``kernel_events_vectorized`` kind.
+#: + ``git_rev`` provenance.
 SCHEMA_VERSION = 2
 
 #: Microbench shape: N_PROCS processes contend for one lock; every
@@ -74,19 +57,6 @@ SCHEMA_VERSION = 2
 #: function of indices) so both kernels replay the identical schedule.
 N_PROCS = 32
 BASE_ITERS = 4_000
-
-#: Vectorized-bench shape: batch widths swept, per-lane cycle count at
-#: scale 1.0 and how many lanes the scalar oracle baseline times.
-VEC_BATCH_SIZES = (8, 32, 128)
-VEC_BASE_ITERS = 250
-VEC_SCALAR_LANES = 4
-
-#: B-tree descent bench shape: widths swept (the autotuned width is
-#: benched too when it differs), per-process operation count at scale
-#: 1.0, scalar-oracle baseline lanes.
-BTREE_BATCH_SIZES = (32, 128, 1024)
-BTREE_BASE_ITERS = 50
-BTREE_SCALAR_LANES = 4
 
 ALGO_BENCHES = ("naive-lock-coupling", "optimistic-descent", "link-type")
 
@@ -193,141 +163,6 @@ def bench_lock_contention(scale: float, repeat: int) -> dict:
     }
 
 
-def bench_vectorized(scale: float, repeat: int) -> list:
-    """Events/sec of the batch kernel at each width, vs the scalar
-    oracle on the same workload (best-of-``repeat`` wall times)."""
-    from repro.des.vector import (
-        LockContentionSpec,
-        run_scalar_reference,
-        run_vectorized,
-    )
-    iters = max(10, int(VEC_BASE_ITERS * scale))
-    spec = LockContentionSpec(n_procs=N_PROCS, iterations=iters)
-
-    oracle0 = run_scalar_reference(spec, 0)  # also warms the path
-    best_scalar = float("inf")
-    scalar_events = 0
-    for _ in range(repeat):
-        start = time.perf_counter()
-        stats = [run_scalar_reference(spec, lane)
-                 for lane in range(VEC_SCALAR_LANES)]
-        wall = time.perf_counter() - start
-        scalar_events = sum(s.events for s in stats)
-        best_scalar = min(best_scalar, wall)
-    scalar_eps = scalar_events / best_scalar
-
-    benches = []
-    for batch in VEC_BATCH_SIZES:
-        best = float("inf")
-        events = 0
-        run_vectorized(spec, batch)  # warm numpy dispatch paths
-        for _ in range(repeat):
-            start = time.perf_counter()
-            stats = run_vectorized(spec, batch)
-            wall = time.perf_counter() - start
-            events = int(stats.total_events)
-            best = min(best, wall)
-        lane0 = stats.lane(0)
-        # Same schedule as the scalar kernel, or the numbers lie.
-        assert lane0.events == oracle0.events, (lane0, oracle0)
-        assert lane0.end_time == oracle0.end_time, (lane0, oracle0)
-        eps = events / best
-        benches.append({
-            "name": f"kernel_events_vectorized_b{batch}",
-            "kind": "kernel_events_vectorized",
-            "scale": scale,
-            "processes": N_PROCS,
-            "iterations_per_process": iters,
-            "batch": batch,
-            "events": events,
-            "wall_s": round(best, 6),
-            "events_per_sec": round(eps, 1),
-            "scalar_events_per_sec": round(scalar_eps, 1),
-            "speedup_vs_scalar": round(eps / scalar_eps, 3),
-        })
-    return benches
-
-
-def bench_btree_vectorized(scale: float, repeat: int) -> list:
-    """Events/sec of the vectorized B-tree descent kernel per protocol,
-    at the swept widths plus the autotuned width, vs the scalar
-    simulator-oracle baseline on the identical schedule.
-
-    Schedule-table generation is excluded from every timing (identical
-    work on both sides); the baseline replays the oracle lanes
-    sequentially, which matches the lane-multiplexed scalar path to
-    within its geometric frontier amortization (see
-    ``docs/performance.md``).
-    """
-    from repro.des.autotune import calibrate, choose_width
-    from repro.des.vector_btree import (
-        PROTOCOLS,
-        BTreeDescentSpec,
-        assert_btree_equivalent,
-        run_btree_vectorized,
-        run_scalar_btree_reference,
-    )
-    iterations = max(4, int(BTREE_BASE_ITERS * scale))
-    # One calibration covers both protocols; the chosen width is the
-    # conservative cross-protocol pick — exactly what run_batch's
-    # batch="auto" would use.
-    calibration = calibrate(BTreeDescentSpec(iterations=iterations))
-    auto_width = choose_width(calibration, max(BTREE_BATCH_SIZES))
-    benches = []
-    for protocol in PROTOCOLS:
-        spec = BTreeDescentSpec(protocol=protocol, iterations=iterations)
-        widths = sorted(set(BTREE_BATCH_SIZES) | {auto_width})
-
-        scalar_tables = spec.tables(BTREE_SCALAR_LANES)
-        oracle = [run_scalar_btree_reference(spec, lane,
-                                             tables=scalar_tables)
-                  for lane in range(BTREE_SCALAR_LANES)]  # warms the path
-        best_scalar = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            oracle = [run_scalar_btree_reference(spec, lane,
-                                                 tables=scalar_tables)
-                      for lane in range(BTREE_SCALAR_LANES)]
-            best_scalar = min(best_scalar, time.perf_counter() - start)
-        scalar_eps = sum(s.events for s in oracle) / best_scalar
-
-        for width in widths:
-            tables = spec.tables(width)
-            run_btree_vectorized(spec, width, tables=tables)  # warm
-            best = float("inf")
-            for _ in range(repeat):
-                start = time.perf_counter()
-                stats = run_btree_vectorized(spec, width, tables=tables)
-                best = min(best, time.perf_counter() - start)
-            # Same schedule as the scalar oracle, or the numbers lie.
-            assert_btree_equivalent(stats, oracle[:1], lanes=[0])
-            eps = stats.total_events / best
-            benches.append({
-                "name": f"kernel_events_btree_{protocol}_b{width}",
-                "kind": "kernel_events_btree_vectorized",
-                "protocol": protocol,
-                "scale": scale,
-                "processes": spec.n_procs,
-                "iterations_per_process": iterations,
-                "batch": width,
-                "autotuned": width == auto_width,
-                "events": stats.total_events,
-                "dispatches": stats.dispatches,
-                "mean_live_lanes": round(stats.mean_live_lanes, 2),
-                "wall_s": round(best, 6),
-                "events_per_sec": round(eps, 1),
-                "scalar_events_per_sec": round(scalar_eps, 1),
-                "speedup_vs_scalar": round(eps / scalar_eps, 3),
-                "calibration": {
-                    "overhead_per_dispatch":
-                        calibration.entries[protocol].overhead_per_dispatch,
-                    "cost_per_lane_dispatch":
-                        calibration.entries[protocol].cost_per_lane_dispatch,
-                },
-            })
-    return benches
-
-
 def bench_algorithm(algorithm: str, scale: float) -> dict:
     """Wall-clock ops/sec of one full-stack simulator run."""
     n_operations = max(50, int(4_000 * scale))
@@ -367,33 +202,12 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="exit non-zero if the microbench speedup is "
                              "below this (0 disables the gate)")
-    parser.add_argument("--min-vec-speedup", type=float, default=0.0,
-                        help="exit non-zero if the best vectorized "
-                             "speedup over the scalar kernel is below "
-                             "this (0 disables the gate)")
     args = parser.parse_args(argv)
 
     benches = [_stamp(bench_lock_contention(args.scale, args.repeat))]
     print(f"[kernel]  {benches[0]['events_per_sec']:>12,.0f} ev/s  "
           f"(baseline {benches[0]['baseline_events_per_sec']:,.0f} ev/s, "
           f"speedup {benches[0]['speedup']:.2f}x)")
-    vec_benches = [_stamp(bench) for bench
-                   in bench_vectorized(args.scale, args.repeat)]
-    for bench in vec_benches:
-        print(f"[vector b={bench['batch']:>4}]  "
-              f"{bench['events_per_sec']:>12,.0f} ev/s  "
-              f"(scalar {bench['scalar_events_per_sec']:,.0f} ev/s, "
-              f"speedup {bench['speedup_vs_scalar']:.2f}x)")
-    benches.extend(vec_benches)
-    btree_benches = [_stamp(bench) for bench
-                     in bench_btree_vectorized(args.scale, args.repeat)]
-    for bench in btree_benches:
-        tag = " auto" if bench["autotuned"] else ""
-        print(f"[btree {bench['protocol'][:4]} b={bench['batch']:>4}{tag:>5}]"
-              f"  {bench['events_per_sec']:>12,.0f} ev/s  "
-              f"(scalar {bench['scalar_events_per_sec']:,.0f} ev/s, "
-              f"speedup {bench['speedup_vs_scalar']:.2f}x)")
-    benches.extend(btree_benches)
     for algorithm in ALGO_BENCHES:
         bench = _stamp(bench_algorithm(algorithm, args.scale))
         benches.append(bench)
@@ -417,20 +231,6 @@ def main(argv=None) -> int:
     if args.min_speedup and speedup < args.min_speedup:
         print(f"FAIL: speedup {speedup:.2f}x < required "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    best_vec = max(b["speedup_vs_scalar"] for b in vec_benches)
-    if args.min_vec_speedup and best_vec < args.min_vec_speedup:
-        print(f"FAIL: vectorized speedup {best_vec:.2f}x < required "
-              f"{args.min_vec_speedup:.2f}x", file=sys.stderr)
-        return 1
-    # The same bar applies to the B-tree descent kernel — at the width
-    # the autotuner actually picks, for every protocol, not just the
-    # friendliest one.
-    worst_auto = min(b["speedup_vs_scalar"] for b in btree_benches
-                     if b["autotuned"])
-    if args.min_vec_speedup and worst_auto < args.min_vec_speedup:
-        print(f"FAIL: autotuned B-tree descent speedup {worst_auto:.2f}x "
-              f"< required {args.min_vec_speedup:.2f}x", file=sys.stderr)
         return 1
     return 0
 

@@ -14,5 +14,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     ops_ref="repro.simulator.link_symmetric",
     has_link_crossings=True,
     supports_compaction=True,
-    vector_tier="lock",
 ))

@@ -17,5 +17,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     has_link_crossings=True,
     supports_closed=True,
     supports_compaction=True,
-    vector_tier="lock",
 ))

@@ -17,5 +17,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     has_restarts=True,
     supports_closed=True,
     coupling_updates=True,
-    vector_tier="full",
 ))

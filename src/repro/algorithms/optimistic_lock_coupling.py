@@ -21,5 +21,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     ops_ref="repro.simulator.optimistic_lock_coupling",
     has_restarts=True,
     coupling_updates=True,
-    vector_tier="lock",
 ))

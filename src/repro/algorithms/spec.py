@@ -39,14 +39,6 @@ CAPABILITY_FLAGS = (
 #: an :class:`~repro.simulator.operations.OperationContext` and a key.
 OPS_INTERFACE = ("search", "insert", "delete")
 
-#: Vectorization tiers, least to most capable.  ``"none"`` — scalar
-#: only; ``"lock"`` — replication batches may take the lane-multiplexed
-#: batch driver (:mod:`repro.simulator.batch`) and the lock-contention
-#: workload is vectorized (:mod:`repro.des.vector`); ``"full"`` — the
-#: whole search/insert descent additionally has a vectorized kernel
-#: (:mod:`repro.des.vector_btree`).
-VECTOR_TIERS = ("none", "lock", "full")
-
 
 def _resolve_ops(path: str, owner: str) -> ModuleType:
     module = importlib.import_module(path)
@@ -89,16 +81,6 @@ class AlgorithmSpec:
     #: Updates hold coupled W locks on the descent path, so the root
     #: writer presence rho_w is the load-limiting signal (Figure 10).
     coupling_updates: bool = False
-    #: Vectorization tier (:data:`VECTOR_TIERS`): any tier above
-    #: ``"none"`` lets replication batches route through the
-    #: lane-multiplexed batch driver (:mod:`repro.simulator.batch`);
-    #: ``"full"`` additionally marks the algorithm's descent family as
-    #: covered by the vectorized B-tree kernel
-    #: (:mod:`repro.des.vector_btree`).  The fixed-seed equivalence
-    #: suite must cover any spec above ``"none"``.  Not a
-    #: :data:`CAPABILITY_FLAGS` entry — it gates an execution path,
-    #: not a modeled behavior.
-    vector_tier: str = "none"
 
     def __post_init__(self) -> None:
         if not self.name or not self.label or not self.short:
@@ -108,16 +90,6 @@ class AlgorithmSpec:
         if not self.ops_ref:
             raise ConfigurationError(
                 f"algorithm {self.name!r} needs an ops module reference")
-        if self.vector_tier not in VECTOR_TIERS:
-            raise ConfigurationError(
-                f"algorithm {self.name!r}: unknown vector tier "
-                f"{self.vector_tier!r}; expected one of {VECTOR_TIERS}")
-
-    @property
-    def vector_capable(self) -> bool:
-        """Whether replication batches may take the batch driver (any
-        vectorization tier above ``"none"``)."""
-        return self.vector_tier != "none"
 
     @property
     def ops(self) -> ModuleType:

@@ -15,5 +15,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     analyze_ref="repro.model.two_phase:analyze_two_phase",
     has_restarts=True,
     coupling_updates=True,
-    vector_tier="lock",
 ))

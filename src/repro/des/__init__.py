@@ -16,20 +16,6 @@ concurrent B-tree simulator of Johnson & Shasha (PODS 1990, Section 4):
   deterministic service-time samplers with exact moment accessors.
 * :mod:`~repro.des.stats` — Welford accumulators and time-weighted
   statistics used for response times and lock utilizations.
-* :mod:`~repro.des.vector` — a numpy struct-of-arrays batch kernel that
-  advances N replications of the lock-contention workload per
-  interpreted dispatch, bit-exactly matching this scalar engine (its
-  oracle).  Deliberately **not** imported here: the rest of the
-  subpackage stays numpy-free, so import it explicitly
-  (``from repro.des import vector``) where batching is wanted.
-* :mod:`~repro.des.vector_btree` — the same struct-of-arrays treatment
-  for full B-tree search/insert descents (lock-coupling and optimistic
-  protocols), again bit-exact against a scalar-oracle replay and again
-  imported explicitly, never from here.
-* :mod:`~repro.des.autotune` — the measured cost model behind
-  ``batch="auto"``: a short probe fits per-dispatch overhead vs
-  per-lane work, the calibration persists next to the result cache,
-  and ``choose_width`` picks the batch width from it.
 """
 
 from repro.des.distributions import (

@@ -97,14 +97,6 @@ class Simulator:
         """Number of processes spawned since construction."""
         return self._total_spawned
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or None when the heap is
-        empty.  Lets an external scheduler (the lane-multiplexed batch
-        driver, :mod:`repro.simulator.batch`) advance several
-        independent simulators in frontier-synchronized rounds without
-        executing anything."""
-        return self._heap[0][0] if self._heap else None
-
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------

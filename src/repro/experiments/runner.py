@@ -27,20 +27,16 @@ journal.  See ``docs/reproduction.md``.
 
 ``list-algorithms`` prints the :mod:`repro.algorithms` registry — every
 registered algorithm with its display label, whether it has an
-analytical model, whether replication batches may take the vectorized
-batch path (``vector`` vs ``scalar``), and its capability flags
-(``docs/architecture.md`` shows how to register a new one).
+analytical model, and its capability flags (``docs/architecture.md``
+shows how to register a new one).
 
 Simulation runs are memoized in an on-disk cache (``$REPRO_CACHE_DIR``
 or ``~/.cache/repro``), so re-running an experiment at the same scale
 reuses every already-computed point; ``--no-cache`` disables the cache
 and ``--clear-cache`` empties it first.  ``--jobs N`` fans a sweep's
 independent simulation runs out over ``N`` worker processes (the
-default, 1, is serial); results are bit-identical either way.
-``--batch N`` additionally groups up to ``N`` replication seeds per
-scheduled unit through the lane-multiplexed batch driver when the
-algorithm is vector-capable — again bit-identical, with per-seed cache
-keys unchanged.  See ``docs/performance.md``.
+default, 1, is serial); results are bit-identical either way.  See
+``docs/performance.md``.
 
 ``--progress`` streams one line per completed run to stderr;
 ``simulate`` runs one configuration under full telemetry and
@@ -169,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for each figure's "
                               "simulation sweep (default 1: serial)")
-    figures.add_argument("--batch", type=_batch_width, default=None,
-                         metavar="N|auto",
-                         help="replication batch width, or 'auto' for "
-                              "the calibrated width (vector-capable "
-                              "algorithms; results identical)")
     figures.add_argument("--no-cache", action="store_true",
                          help="disable the on-disk simulation result "
                               "cache")
@@ -227,12 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="worker processes for the replication "
                                "seeds (default 1: serial)")
-    simulate.add_argument("--batch", type=_batch_width, default=None,
-                          metavar="N|auto",
-                          help="batch width ('auto' allowed) for the "
-                               "replication seeds (telemetry runs "
-                               "always fall back to the scalar path; "
-                               "accepted for symmetry)")
     _resilience_flags(simulate)
     return parser
 
@@ -259,14 +244,6 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {value}")
     return value
-
-
-def _batch_width(text: str):
-    """``--batch`` accepts a fixed width or ``auto`` (the measured
-    cost model in :mod:`repro.des.autotune` picks the width)."""
-    if text.strip().lower() == "auto":
-        return "auto"
-    return _non_negative_int(text)
 
 
 def _resilience_flags(sub: argparse.ArgumentParser) -> None:
@@ -323,14 +300,6 @@ def _common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes for independent simulation "
                           "runs (default 1: serial; results identical)")
-    sub.add_argument("--batch", type=_batch_width, default=None,
-                     metavar="N|auto",
-                     help="advance up to N replication seeds per "
-                          "scheduled unit through the lane-multiplexed "
-                          "batch driver (vector-capable algorithms "
-                          "only; default 1: scalar; 'auto' picks the "
-                          "width from the persisted calibration; "
-                          "results identical)")
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk simulation result cache")
     sub.add_argument("--clear-cache", action="store_true",
@@ -373,11 +342,9 @@ def _dispatch(args) -> int:
         if args.command == "list-algorithms":
             for spec in all_algorithms():
                 model = "model" if spec.has_model else "sim-only"
-                vec = {"full": "full", "lock": "lock-only",
-                       "none": "scalar"}[spec.vector_tier]
                 caps = ", ".join(spec.capabilities()) or "-"
                 print(f"{spec.name:<26} {spec.label:<32} {model:<9} "
-                      f"{vec:<10} {caps}")
+                      f"{caps}")
             return 0
         if args.command == "list-workloads":
             from repro.workload import (
@@ -386,11 +353,9 @@ def _dispatch(args) -> int:
             )
             for component in (all_arrival_processes()
                               + all_key_distributions()):
-                path = "vector" if component.vector_native \
-                    else "scalar-fallback"
                 print(f"{component.category:<8} {component.name:<12} "
-                      f"{path:<16} {component.label}")
-            print(f"{'txn':<8} {'envelope':<12} {'scalar-fallback':<16} "
+                      f"{component.label}")
+            print(f"{'txn':<8} {'envelope':<12} "
                   "multi-op transaction envelopes "
                   "(TransactionSpec(size=k), k > 1)")
             return 0
@@ -424,7 +389,7 @@ def _dispatch(args) -> int:
             progress = ProgressPrinter()
         resilience = _resilience_from_args(args)
         with execution(jobs=args.jobs, cache=cache, progress=progress,
-                       resilience=resilience, batch=args.batch):
+                       resilience=resilience):
             if args.command == "run":
                 experiment = get_experiment(args.experiment_id)
                 _emit(experiment.run(scale=args.scale, simulate=simulate),
@@ -468,7 +433,7 @@ def _figures(args) -> int:
                                        task_timeout=args.task_timeout)
     formats = args.formats.split(",") if args.formats else None
     with execution(jobs=args.jobs, cache=cache, progress=progress,
-                   resilience=resilience, batch=args.batch):
+                   resilience=resilience):
         result = generate_figures(
             figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
             formats=formats,
@@ -591,8 +556,7 @@ def _simulate(args) -> int:
         args.scale)
     options = TelemetryOptions(sample_interval=args.sample_interval)
     progress = ProgressPrinter(total=args.seeds) if args.progress else None
-    with execution(resilience=_resilience_from_args(args),
-                   batch=args.batch):
+    with execution(resilience=_resilience_from_args(args)):
         results, merged = collect_replications(
             config, n_seeds=args.seeds, options=options, jobs=args.jobs,
             progress=progress)

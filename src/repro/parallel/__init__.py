@@ -13,12 +13,9 @@ runs, the multiprogramming level), which buys two things at once:
   already-computed point.
 
 The :func:`execution` context manager installs ambient ``jobs``/
-``cache``/``resilience``/``batch`` defaults so the CLI can switch the
-entire experiment layer with one ``with`` block; see
-``docs/performance.md`` and ``docs/robustness.md``.  ``batch=N``
-additionally groups eligible replications into lane-multiplexed units
-(:mod:`repro.simulator.batch`) — same results and cache keys, fewer
-schedulable units.  With a
+``cache``/``resilience`` defaults so the CLI can switch the entire
+experiment layer with one ``with`` block; see ``docs/performance.md``
+and ``docs/robustness.md``.  With a
 :class:`~repro.resilience.ResilienceOptions` installed, batches retry,
 quarantine and checkpoint instead of aborting on the first failure;
 :func:`run_batch_report` returns the full
@@ -39,7 +36,6 @@ from repro.parallel.context import (
 )
 from repro.parallel.executor import (
     SimTask,
-    execute_batch_group,
     execute_task,
     replication_tasks,
     run_batch,
@@ -56,7 +52,6 @@ __all__ = [
     "config_key",
     "current_context",
     "default_cache_dir",
-    "execute_batch_group",
     "execute_task",
     "execution",
     "replication_tasks",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import ResultCache
@@ -46,13 +46,6 @@ class ExecutionContext:
     #: timeouts, checkpointing — see :mod:`repro.resilience`); ``None``
     #: keeps the historical fail-fast behavior.
     resilience: Optional[ResilienceOptions] = None
-    #: Replication batch width: group up to this many consecutive
-    #: batch-eligible tasks per scheduled unit and advance them through
-    #: the lane-multiplexed driver (:mod:`repro.simulator.batch`).
-    #: ``None``, 0 or 1 all mean one task per unit (the scalar path);
-    #: ``"auto"`` defers to the persisted cost-model calibration
-    #: (:mod:`repro.des.autotune`) at batch-execution time.
-    batch: Union[int, str, None] = None
 
     @property
     def parallel(self) -> bool:
@@ -72,32 +65,30 @@ def execution(jobs: Optional[int] = _UNSET,
               cache: Optional[ResultCache] = _UNSET,
               progress: Optional[Callable] = _UNSET,
               resilience: Optional[ResilienceOptions] = _UNSET,
-              batch: Union[int, str, None] = _UNSET,
+              batch: None = None,
               ) -> Iterator[ExecutionContext]:
     """Install an execution context for the enclosed block.
 
     Omitted fields inherit from the enclosing context, so e.g.
     ``execution(jobs=4)`` keeps whatever cache is already installed.
+
+    ``batch`` is accepted only as ``None``, for callers written against
+    the removed replication-batching option; any other value raises
+    :class:`~repro.errors.ConfigurationError`.
     """
+    if batch is not None:
+        raise ConfigurationError(
+            f"replication batching was removed; every task runs on the "
+            f"scalar path (got batch={batch!r})")
     outer = current_context()
     context = ExecutionContext(
         jobs=outer.jobs if jobs is _UNSET else jobs,
         cache=outer.cache if cache is _UNSET else cache,
         progress=outer.progress if progress is _UNSET else progress,
         resilience=outer.resilience if resilience is _UNSET else resilience,
-        batch=outer.batch if batch is _UNSET else batch,
     )
     if context.jobs is not None and context.jobs < 0:
         raise ConfigurationError(f"jobs must be >= 0, got {context.jobs}")
-    if context.batch is not None:
-        if isinstance(context.batch, str):
-            if context.batch != "auto":
-                raise ConfigurationError(
-                    f"batch must be an integer >= 0 or 'auto', got "
-                    f"{context.batch!r}")
-        elif context.batch < 0:
-            raise ConfigurationError(
-                f"batch must be >= 0, got {context.batch}")
     _stack.append(context)
     try:
         yield context
@@ -138,24 +129,3 @@ def resolve_resilience(resilience: Optional[ResilienceOptions]
     return resilience if resilience is not None \
         else current_context().resilience
 
-
-def resolve_batch(batch: Union[int, str, None]) -> Union[int, str]:
-    """Effective replication batch width: the argument, else the
-    ambient context's; ``None``/0/1 all resolve to 1 (scalar).
-
-    ``"auto"`` passes through — the batch executor turns it into a
-    width via :func:`repro.des.autotune.resolve_auto_width` once it
-    knows the task count and cache.
-    """
-    if batch is None:
-        batch = current_context().batch
-    if batch is None:
-        return 1
-    if isinstance(batch, str):
-        if batch != "auto":
-            raise ConfigurationError(
-                f"batch must be an integer >= 0 or 'auto', got {batch!r}")
-        return "auto"
-    if batch < 0:
-        raise ConfigurationError(f"batch must be >= 0, got {batch}")
-    return max(batch, 1)

@@ -56,7 +56,6 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.parallel.cache import CODE_SALT, ResultCache, config_key
 from repro.parallel.context import (
-    resolve_batch,
     resolve_cache,
     resolve_jobs,
     resolve_progress,
@@ -184,56 +183,6 @@ def execute_task(task: SimTask) -> Any:
     return run_simulation(task.config, budget=task.budget)
 
 
-def execute_batch_group(tasks: Sequence[SimTask],
-                        ) -> List[SimulationResult]:
-    """Run a group of batch-eligible tasks through the lane-multiplexed
-    batch driver (top-level, hence picklable — pool workers call this
-    one group at a time).  Results come back in task order, each
-    bit-identical to :func:`execute_task` on that task alone."""
-    # Lazy import for the same cycle/weight reasons as execute_task.
-    from repro.simulator.batch import run_replication_batch
-    return run_replication_batch([task.config for task in tasks])
-
-
-def _batch_eligible(task: SimTask) -> bool:
-    """The fallback contract from :mod:`repro.simulator.batch`: only
-    plain open-system runs — no telemetry, no budget — on a
-    vector-capable algorithm may join a batch group; everything else
-    stays on the scalar path."""
-    if task.kind != KIND_OPEN or task.telemetry is not None \
-            or task.budget is not None:
-        return False
-    from repro.simulator.batch import batch_capable
-    return batch_capable(task.config)
-
-
-def _plan_units(tasks: Sequence[SimTask], pending: Sequence[int],
-                width: int) -> List[List[int]]:
-    """Partition ``pending`` into schedulable units: runs of
-    consecutive batch-eligible tasks are chunked to at most ``width``
-    indices per unit, everything else stays a singleton.  Task order is
-    preserved within and across units, so caching, progress and the
-    returned-results order are exactly the scalar path's."""
-    if width <= 1:
-        return [[index] for index in pending]
-    units: List[List[int]] = []
-    group: List[int] = []
-    for index in pending:
-        if _batch_eligible(tasks[index]):
-            group.append(index)
-            if len(group) == width:
-                units.append(group)
-                group = []
-        else:
-            if group:
-                units.append(group)
-                group = []
-            units.append([index])
-    if group:
-        units.append(group)
-    return units
-
-
 def _execute_guarded(task: SimTask, index: int,
                      fault_specs: Tuple[FaultSpec, ...],
                      beacon_dir: Optional[str]) -> Any:
@@ -272,30 +221,16 @@ def run_batch(tasks: Sequence[SimTask],
               telemetry_sink: Optional[Callable[[int, "RunTelemetry"], None]]
               = None,
               resilience: Optional[ResilienceOptions] = None,
-              batch: "Optional[int | str]" = None,
               ) -> List[Optional[SimulationResult]]:
     """Execute ``tasks`` and return their results in task order.
 
-    ``jobs``/``cache``/``progress``/``resilience``/``batch`` default to
-    the ambient :class:`~repro.parallel.context.ExecutionContext`
-    (serial, no cache, silent, fail-fast, scalar).  ``jobs <= 1`` runs
+    ``jobs``/``cache``/``progress``/``resilience`` default to the
+    ambient :class:`~repro.parallel.context.ExecutionContext` (serial,
+    no cache, silent, fail-fast).  ``jobs <= 1`` runs
     everything inline in this process — byte-for-byte today's serial
     behavior; ``jobs > 1`` fans cache misses out over that many worker
     processes.  ``progress`` is called once per result; in parallel
     mode the call order follows completion order, not task order.
-
-    ``batch > 1`` groups runs of consecutive batch-eligible cache
-    misses (plain open-system tasks on vector-capable algorithms — see
-    :mod:`repro.simulator.batch`) into lane-multiplexed units of up to
-    that many replications; ineligible tasks interleave as singletons
-    on the scalar path.  ``batch="auto"`` resolves the width from the
-    persisted cost-model calibration
-    (:func:`repro.des.autotune.resolve_auto_width`, probing on first
-    use).  Results, cache keys and the returned order are
-    identical either way — batching only changes scheduling.  Resilient
-    batches (a failure policy installed) ignore ``batch`` and stay
-    per-task: retry/timeout/quarantine accounting charges individual
-    tasks, which a fused multi-task unit would muddle.
 
     Tasks carrying telemetry options always execute (never served from
     or stored into the cache); their
@@ -324,12 +259,8 @@ def run_batch(tasks: Sequence[SimTask],
 
     tasks = list(tasks)
     n_jobs = resolve_jobs(jobs)
-    n_batch = resolve_batch(batch)
     cache = resolve_cache(cache)
     progress = resolve_progress(progress)
-    if n_batch == "auto":
-        from repro.des.autotune import resolve_auto_width
-        n_batch = resolve_auto_width(len(tasks), cache)
 
     results: List[Optional[SimulationResult]] = [None] * len(tasks)
     pending: List[int] = []
@@ -372,41 +303,21 @@ def run_batch(tasks: Sequence[SimTask],
         if progress is not None:
             progress(result)
 
-    units = _plan_units(tasks, pending, n_batch)
-
-    if n_jobs <= 1 or len(units) == 1:
-        for unit in units:
-            if len(unit) == 1:
-                record(unit[0], execute_task(tasks[unit[0]]))
-            else:
-                for index, outcome in zip(
-                        unit, execute_batch_group(
-                            [tasks[i] for i in unit])):
-                    record(index, outcome)
+    if n_jobs <= 1 or len(pending) == 1:
+        for index in pending:
+            record(index, execute_task(tasks[index]))
         return results
 
-    workers = min(n_jobs, len(units))
+    workers = min(n_jobs, len(pending))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures: Dict[Any, List[int]] = {}
-        for unit in units:
-            if len(unit) == 1:
-                future = pool.submit(execute_task, tasks[unit[0]])
-            else:
-                future = pool.submit(execute_batch_group,
-                                     [tasks[i] for i in unit])
-            futures[future] = unit
+        futures = {pool.submit(execute_task, tasks[index]): index
+                   for index in pending}
         outstanding = set(futures)
         while outstanding:
             done, outstanding = wait(outstanding,
                                      return_when=FIRST_COMPLETED)
             for future in done:
-                unit = futures[future]
-                outcome = future.result()
-                if len(unit) == 1:
-                    record(unit[0], outcome)
-                else:
-                    for index, result in zip(unit, outcome):
-                        record(index, result)
+                record(futures[future], future.result())
     return results
 
 

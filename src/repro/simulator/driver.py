@@ -103,37 +103,6 @@ class _RunState:
         self.overflowed = False
 
 
-class _PreparedRun:
-    """One run's live machinery between setup and summary.
-
-    :func:`_prepare_run` builds it, :func:`_finalize_run` freezes it
-    into a :class:`SimulationResult`.  The split exists for the
-    lane-multiplexed batch driver (:mod:`repro.simulator.batch`), which
-    prepares several runs and advances their simulators in lock-step
-    rounds; :func:`run_simulation` is exactly prepare → drain →
-    finalize, so both paths execute the identical event sequence.
-    """
-
-    __slots__ = ("config", "sim", "metrics", "state", "tree", "guard",
-                 "telemetry", "stop_when")
-
-    def __init__(self, config, sim, metrics, state, tree, guard,
-                 telemetry, stop_when) -> None:
-        self.config = config
-        self.sim = sim
-        self.metrics = metrics
-        self.state = state
-        self.tree = tree
-        self.guard = guard
-        self.telemetry = telemetry
-        self.stop_when = stop_when
-
-    def finished(self) -> bool:
-        """True once the run's stop predicate holds (measurement target
-        reached, overflow, or a tripped budget)."""
-        return bool(self.stop_when())
-
-
 def run_simulation(config: SimulationConfig, trace=None,
                    telemetry=None, budget=None):
     """Execute one simulator run and return its metrics summary.
@@ -156,18 +125,6 @@ def run_simulation(config: SimulationConfig, trace=None,
     budget the return type is a plain :class:`SimulationResult` and
     behavior is unchanged (see ``docs/robustness.md``).
     """
-    prepared = _prepare_run(config, trace=trace, telemetry=telemetry,
-                            budget=budget)
-    prepared.sim.run(stop_when=prepared.stop_when)
-    return _finalize_run(prepared)
-
-
-def _prepare_run(config: SimulationConfig, trace=None,
-                 telemetry=None, budget=None) -> _PreparedRun:
-    """Build one run — tree, locks, processes, stop predicate — without
-    executing any event.  Every RNG draw happens here in the same order
-    as it always has, so a prepared run advanced by *any* schedule of
-    ``sim.run`` slices produces the bit-identical result."""
     module = get_algorithm(config.algorithm).ops
 
     seed_root = random.Random(config.seed)
@@ -333,23 +290,13 @@ def _prepare_run(config: SimulationConfig, trace=None,
 
     guard = None
     if budget is None:
-        stop_when = done
+        sim.run(stop_when=done)
     else:
         from repro.resilience.budget import BudgetGuard
         guard = BudgetGuard(budget)
         # exceeded() runs first so every executed event is counted.
-        stop_when = lambda: guard.exceeded() or done()  # noqa: E731
-    return _PreparedRun(config, sim, metrics, state, tree, guard,
-                        telemetry, stop_when)
-
-
-def _finalize_run(prepared: _PreparedRun):
-    """Freeze a drained prepared run into its result (or a
-    :class:`~repro.resilience.TruncatedResult` if its budget tripped)."""
-    config, metrics, state = prepared.config, prepared.metrics, \
-        prepared.state
-    tree, guard = prepared.tree, prepared.guard
-    metrics.measure_end_time = prepared.sim.now
+        sim.run(stop_when=lambda: guard.exceeded() or done())
+    metrics.measure_end_time = sim.now
 
     tripped = guard is not None and guard.tripped
     result = summarize(
@@ -358,8 +305,8 @@ def _finalize_run(prepared: _PreparedRun):
         overflowed=state.overflowed or tripped, tree_size=len(tree),
         tree_height=tree.height,
     )
-    if prepared.telemetry is not None:
-        prepared.telemetry.finalize(result)
+    if telemetry is not None:
+        telemetry.finalize(result)
     if tripped:
         from repro.resilience.budget import TruncatedResult
         return TruncatedResult(result=result, reason=guard.reason,
@@ -394,26 +341,18 @@ def run_replications(config: SimulationConfig,
                      = None,
                      jobs: Optional[int] = None,
                      cache: Optional["ResultCache"] = None,
-                     batch: "Optional[int | str]" = None,
                      ) -> List[SimulationResult]:
     """Run ``config`` under ``n_seeds`` different seeds (paper: 5).
 
-    ``jobs``/``cache``/``batch`` default to the ambient execution
-    context (see :mod:`repro.parallel`): serial, uncached, unbatched.
-    ``jobs=N`` runs the seeds on ``N`` worker processes; results are
-    returned in seed order and are bit-identical to the serial path.
-    ``batch=N`` advances up to ``N`` seeds per scheduled unit through
-    the lane-multiplexed batch driver (:mod:`repro.simulator.batch`)
-    when the algorithm is vector-capable — also bit-identical, with
-    per-seed cache keys unchanged; ``batch="auto"`` picks the width
-    from the persisted cost-model calibration
-    (:mod:`repro.des.autotune`).  ``progress`` is called once per
-    completed result (completion order when parallel).
+    ``jobs``/``cache`` default to the ambient execution context (see
+    :mod:`repro.parallel`): serial and uncached.  ``jobs=N`` runs the
+    seeds on ``N`` worker processes; results are returned in seed order
+    and are bit-identical to the serial path.  ``progress`` is called
+    once per completed result (completion order when parallel).
     """
     from repro.parallel import replication_tasks, run_batch
     return run_batch(replication_tasks(config, n_seeds),
-                     jobs=jobs, cache=cache, progress=progress,
-                     batch=batch)
+                     jobs=jobs, cache=cache, progress=progress)
 
 
 def pooled_response_means(results: Sequence[Optional[SimulationResult]]

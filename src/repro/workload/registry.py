@@ -3,11 +3,8 @@
 Mirrors the :mod:`repro.algorithms` registry pattern: one canonical
 listing that the CLI (``btree-perf list-workloads``), the docs and the
 tests enumerate, so a new distribution registers itself here and shows
-up everywhere.  Each entry records whether the vectorized batch path
-consumes pre-drawn streams of the component natively
-(:mod:`repro.workload.streams`) or replication batches fall back to
-per-lane scalar simulation (results are bit-identical either way —
-the flag is a performance property, not a correctness one).
+up everywhere.  Each entry also exposes the spec's ``vector_native``
+flag (whether a pre-drawn stationary stream represents the component).
 """
 
 from __future__ import annotations

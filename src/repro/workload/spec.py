@@ -61,9 +61,9 @@ class ArrivalSpec:
     """Base of the arrival-process specs.
 
     ``kind`` names the process in the registry / CLI listing;
-    ``vector_native`` marks whether the vectorized kernels can consume
-    a pre-drawn stream of this process (:mod:`repro.workload.streams`)
-    or the batch path falls back to per-lane scalar simulation.
+    ``vector_native`` marks whether a pre-drawn, time-independent
+    stream of transformed uniforms represents this process exactly
+    (descriptive metadata: every run draws on the scalar path).
     """
 
     kind: ClassVar[str] = "arrival"
@@ -193,8 +193,7 @@ class SpikeArrivals(ArrivalSpec):
     ``multiplier`` x the base rate during ``[start, start + duration)``.
 
     Transient by construction (never repeats), so a pre-drawn
-    stationary stream cannot represent it — the batch/vector path falls
-    back to scalar lanes for this process.
+    stationary stream cannot represent it.
     """
 
     kind: ClassVar[str] = "spike"
@@ -313,8 +312,8 @@ class MigratingHotspotKeysSpec(KeySpec):
     The hot range starts at fraction ``center_start`` of the key space
     and moves by ``velocity`` key-space fractions per simulated time
     unit (wrapping modulo the space), modelling attention shifting
-    across the keyspace.  Time-dependent, so pre-drawn vector streams
-    cannot represent it — the batch/vector path falls back to scalar.
+    across the keyspace.  Time-dependent, so a pre-drawn
+    stationary stream cannot represent it.
     """
 
     kind: ClassVar[str] = "migrating"
@@ -399,8 +398,8 @@ class WorkloadSpec:
         return self == DEFAULT_WORKLOAD
 
     def vector_native(self) -> bool:
-        """True when the vectorized kernels can consume pre-drawn
-        streams of this workload (see :mod:`repro.workload.streams`)."""
+        """True when every component can be represented by a pre-drawn
+        stationary stream (see ``ArrivalSpec.vector_native``)."""
         return (self.arrival.vector_native and self.keys.vector_native
                 and self.transaction.size == 1)
 

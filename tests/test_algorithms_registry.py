@@ -200,12 +200,8 @@ class TestSurfacing:
         assert any(names.OPTIMISTIC_LOCK_COUPLING in line for line in lines)
         assert "sim-only" in out and "model" in out
         assert "coupling_updates" in out
-        # Every spec advertises its vectorization tier (batch-path
-        # eligibility plus descent-kernel coverage).
         for line, spec in zip(lines, all_algorithms()):
-            expected = {"full": "full", "lock": "lock-only",
-                        "none": "scalar"}[spec.vector_tier]
-            assert expected in line
+            assert line.startswith(spec.name)
 
     def test_simulate_choices_come_from_registry(self):
         from repro.experiments.runner import _build_parser

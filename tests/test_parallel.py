@@ -242,6 +242,27 @@ class TestExecutionContext:
             with execution(jobs=-1):
                 pass  # pragma: no cover
 
+    def test_batch_none_keyword_still_accepted(self, tmp_path):
+        # perfbench/worker.py makes exactly this call.
+        cache = ResultCache(tmp_path)
+        with execution(jobs=1, cache=cache, progress=None,
+                       resilience=None, batch=None) as context:
+            assert context.cache is cache
+            assert not context.parallel
+
+    @pytest.mark.parametrize("width", [4, "auto"])
+    def test_batch_width_rejected(self, width):
+        with pytest.raises(ConfigurationError, match="batching was removed"):
+            with execution(batch=width):
+                pass  # pragma: no cover
+
+    def test_cli_batch_flag_is_gone(self, capsys):
+        from repro.experiments.runner import main as cli_main
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["figures", "--batch", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # The figure pipeline end to end (acceptance criterion)

@@ -5,8 +5,7 @@ import importlib
 import pytest
 
 PACKAGES = ("repro", "repro.des", "repro.btree", "repro.model",
-            "repro.simulator", "repro.workload", "repro.workloads",
-            "repro.experiments")
+            "repro.simulator", "repro.workload", "repro.experiments")
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

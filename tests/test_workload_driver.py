@@ -7,21 +7,18 @@ The central promises:
   fingerprints in ``tests/test_des_kernel_hotpath.py`` enforce the
   absolute baseline; here we enforce None == explicit default);
 * non-default workloads are deterministic under a fixed seed and flow
-  through the open driver, the closed driver, the lane-multiplexed
-  batch path and telemetry;
+  through the open driver, the closed driver and telemetry;
 * transaction envelopes complete without deadlock and report their
   lock-hold time.
 """
 
 import dataclasses
 import hashlib
-import warnings
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import TelemetryOptions, TelemetryRecorder
-from repro.simulator.batch import run_replication_batch
 from repro.simulator.closed import run_closed_simulation
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import run_simulation
@@ -121,22 +118,6 @@ class TestNonDefaultWorkloads:
 
 
 # ----------------------------------------------------------------------
-# Batch path equivalence
-# ----------------------------------------------------------------------
-class TestBatchEquivalence:
-
-    @pytest.mark.parametrize("name",
-                             ["mmpp", "zipf", "migrating", "txn"])
-    def test_batch_lanes_match_scalar_runs(self, name):
-        configs = [_config(workload=_TRACES[name], seed=seed)
-                   for seed in (1, 2, 3)]
-        batched = run_replication_batch(configs)
-        for config, result in zip(configs, batched):
-            assert fingerprint(result) == \
-                fingerprint(run_simulation(config))
-
-
-# ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
 class TestWorkloadTelemetry:
@@ -172,24 +153,3 @@ class TestWorkloadTelemetry:
         counters = telemetry.counters
         assert counters["workload.txn_hold.count"] > 0
         assert counters["workload.txn_hold.total"] > 0.0
-
-
-# ----------------------------------------------------------------------
-# Deprecation shim
-# ----------------------------------------------------------------------
-class TestWorkloadsShim:
-
-    def test_legacy_names_forward_with_deprecation_warning(self):
-        import repro.workloads as legacy
-        import repro.workload as current
-        with pytest.warns(DeprecationWarning, match="repro.workload"):
-            assert legacy.UniformKeys is current.UniformKeys
-        with pytest.warns(DeprecationWarning):
-            assert legacy.PAPER_MIX is current.PAPER_MIX
-
-    def test_unknown_legacy_attribute_raises(self):
-        import repro.workloads as legacy
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(AttributeError):
-                legacy.NoSuchThing

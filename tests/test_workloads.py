@@ -1,11 +1,11 @@
-"""Unit tests for the workloads subpackage."""
+"""Unit tests for the workload mixes and key pickers."""
 
 from collections import Counter
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads import (
+from repro.workload import (
     HotspotKeys,
     INSERT_ONLY,
     PAPER_MIX,
@@ -64,45 +64,3 @@ class TestHotspotKeys:
             HotspotKeys(100, rng, hot_fraction=0.0)
         with pytest.raises(ConfigurationError):
             HotspotKeys(100, rng, hot_probability=1.5)
-
-
-class TestDeprecationShim:
-    def test_warning_blames_the_callers_line(self):
-        """The shim's DeprecationWarning must point at the user's
-        import/attribute access, not at frozen importlib frames."""
-        import warnings
-
-        import repro.workloads as shim
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _ = shim.PAPER_MIX
-        (entry,) = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert entry.filename == __file__
-
-    def test_from_import_blames_this_file_too(self):
-        import importlib
-        import warnings
-
-        import repro.workloads as shim
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # Re-trigger module __getattr__ through importlib's
-            # from-list machinery, the path a fixed stacklevel=2 blamed
-            # on <frozen importlib._bootstrap>.
-            importlib._bootstrap._handle_fromlist(
-                shim, ("UniformKeys",), __import__)
-        entries = [w for w in caught
-                   if issubclass(w.category, DeprecationWarning)]
-        assert entries
-        assert all("importlib" not in e.filename for e in entries)
-
-    def test_unknown_attribute_raises_without_warning(self):
-        import warnings
-
-        import repro.workloads as shim
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(AttributeError):
-                _ = shim.NoSuchName
-        assert not caught
