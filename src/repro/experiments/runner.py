@@ -181,14 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--journal", default=None, metavar="PATH",
                          help="figure checkpoint journal (default: "
                               "<out>/figures-journal.ndjson)")
-    figures.add_argument("--task-timeout", type=_positive_seconds,
-                         default=None, metavar="SECONDS",
-                         help="wall-clock deadline per simulation task "
+    _retry_flags(figures,
+                 timeout_help="wall-clock deadline per simulation task "
                               "(stalled tasks are retried, then "
-                              "quarantined)")
-    figures.add_argument("--max-retries", type=_non_negative_int,
-                         default=None, metavar="N",
-                         help="retries per failed simulation task")
+                              "quarantined)",
+                 retries_help="retries per failed simulation task")
 
     simulate = sub.add_parser(
         "simulate",
@@ -246,17 +243,21 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _resilience_flags(sub: argparse.ArgumentParser) -> None:
+def _retry_flags(sub: argparse.ArgumentParser,
+                 timeout_help: str = "wall-clock deadline per simulation "
+                                     "task; a stalled task is retried, "
+                                     "then quarantined (default: none)",
+                 retries_help: str = "retries per failed task before it "
+                                     "is quarantined (default 2 when any "
+                                     "resilience flag is set)") -> None:
     sub.add_argument("--task-timeout", type=_positive_seconds,
-                     default=None, metavar="SECONDS",
-                     help="wall-clock deadline per simulation task; a "
-                          "stalled task is retried, then quarantined "
-                          "(default: none)")
+                     default=None, metavar="SECONDS", help=timeout_help)
     sub.add_argument("--max-retries", type=_non_negative_int,
-                     default=None, metavar="N",
-                     help="retries per failed task before it is "
-                          "quarantined (default 2 when any resilience "
-                          "flag is set)")
+                     default=None, metavar="N", help=retries_help)
+
+
+def _resilience_flags(sub: argparse.ArgumentParser) -> None:
+    _retry_flags(sub)
     sub.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="write a sweep checkpoint journal to PATH "
                           "(doubles as the failure manifest)")
@@ -265,27 +266,30 @@ def _resilience_flags(sub: argparse.ArgumentParser) -> None:
                           "skipping already-completed tasks")
 
 
-def _resilience_from_args(args):
-    """The :class:`~repro.resilience.ResilienceOptions` the flags ask
-    for, or None when none were given (legacy fail-fast batches)."""
-    from repro.resilience import ResilienceOptions, RetryPolicy
-
-    wants = (args.task_timeout is not None
-             or args.max_retries is not None
-             or args.checkpoint is not None
-             or args.resume)
-    if not wants:
+def _retry_options(args, checkpoint: Optional[str] = None,
+                   resume: bool = False):
+    """The :class:`~repro.resilience.ResilienceOptions` that
+    ``--task-timeout``/``--max-retries`` and an optional sweep journal
+    ask for, or None when none were given (fail-fast batches)."""
+    if (args.task_timeout is None and args.max_retries is None
+            and checkpoint is None and not resume):
         return None
+    from repro.resilience import ResilienceOptions, RetryPolicy
+    retry = RetryPolicy(max_retries=args.max_retries) \
+        if args.max_retries is not None else RetryPolicy()
+    return ResilienceOptions(retry=retry, task_timeout=args.task_timeout,
+                             checkpoint=checkpoint, resume=resume)
+
+
+def _resilience_from_args(args):
+    """:func:`_retry_options` extended with ``--checkpoint``/
+    ``--resume``."""
     if args.resume and args.checkpoint is None:
         raise ConfigurationError(
             "--resume needs --checkpoint PATH (the journal of the "
             "interrupted sweep to resume from)")
-    retry = RetryPolicy(max_retries=args.max_retries) \
-        if args.max_retries is not None else RetryPolicy()
-    return ResilienceOptions(retry=retry,
-                             task_timeout=args.task_timeout,
-                             checkpoint=args.checkpoint,
-                             resume=args.resume)
+    return _retry_options(args, checkpoint=args.checkpoint,
+                          resume=args.resume)
 
 
 def _common_run_flags(sub: argparse.ArgumentParser) -> None:
@@ -424,13 +428,9 @@ def _figures(args) -> int:
         from repro.obs import ProgressPrinter
         progress = ProgressPrinter()
         log = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    resilience = None
-    if args.task_timeout is not None or args.max_retries is not None:
-        from repro.resilience import ResilienceOptions, RetryPolicy
-        retry = RetryPolicy(max_retries=args.max_retries) \
-            if args.max_retries is not None else RetryPolicy()
-        resilience = ResilienceOptions(retry=retry,
-                                       task_timeout=args.task_timeout)
+    # --resume/--journal here mean the figure journal, not a sweep
+    # journal, so only the retry flags shape the batch policy.
+    resilience = _retry_options(args)
     formats = args.formats.split(",") if args.formats else None
     with execution(jobs=args.jobs, cache=cache, progress=progress,
                    resilience=resilience):

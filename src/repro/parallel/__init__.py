@@ -15,11 +15,12 @@ runs, the multiprogramming level), which buys two things at once:
 The :func:`execution` context manager installs ambient ``jobs``/
 ``cache``/``resilience`` defaults so the CLI can switch the entire
 experiment layer with one ``with`` block; see ``docs/performance.md``
-and ``docs/robustness.md``.  With a
-:class:`~repro.resilience.ResilienceOptions` installed, batches retry,
-quarantine and checkpoint instead of aborting on the first failure;
-:func:`run_batch_report` returns the full
-:class:`~repro.resilience.BatchReport`.
+and ``docs/robustness.md``.  One batch implementation runs every call;
+the failure policy only decides what a task error does.  Without a
+:class:`~repro.resilience.ResilienceOptions` a batch is fail-fast (the
+first task error propagates); with one it retries, quarantines and
+checkpoints instead.  :func:`run_batch_report` always runs resiliently
+and returns the full :class:`~repro.resilience.BatchReport`.
 """
 
 from repro.parallel.cache import (

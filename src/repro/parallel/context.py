@@ -44,7 +44,7 @@ class ExecutionContext:
     progress: Optional[Callable] = None
     #: Failure policy for batches below this context (retries, task
     #: timeouts, checkpointing — see :mod:`repro.resilience`); ``None``
-    #: keeps the historical fail-fast behavior.
+    #: makes them fail-fast: the first task error propagates.
     resilience: Optional[ResilienceOptions] = None
 
     @property

@@ -5,7 +5,8 @@ A figure sweep is a grid of independent ``(config, seed)`` points —
 stream from ``config.seed`` — so the grid can execute in any order, on
 any number of worker processes, and still produce bit-identical
 :class:`~repro.simulator.metrics.SimulationResult`\\ s.  :func:`run_batch`
-is the single choke point all sweeps go through:
+is the single choke point all sweeps go through, and one batch class
+carries out every call:
 
 1. look every task up in the (optional) on-disk result cache;
 2. run the misses — inline when serial, else on a
@@ -16,17 +17,19 @@ Determinism contract: for a fixed task list, the returned list is
 identical whatever ``jobs`` is and whatever mixture of cache hits and
 recomputes served it.
 
-With a :class:`~repro.resilience.ResilienceOptions` installed (argument
-or ambient :func:`~repro.parallel.context.execution` context), the
-batch additionally survives hostile conditions: per-task exceptions and
-``BrokenProcessPool`` trigger bounded retries with exponential backoff,
-exhausted tasks are quarantined (a ``None`` slot in the returned list)
-instead of aborting the sweep, stalled tasks are preempted by a
-parent-side wall deadline, budget-truncated runs come back as partial
-saturation-flagged results, and a checkpoint journal lets an
-interrupted sweep resume.  :func:`run_batch_report` exposes the full
-:class:`~repro.resilience.BatchReport`.  The fault-free path through a
-resilient batch produces the same results as the plain one.
+The failure policy decides what a task error does.  With none resolved
+(no argument, no ambient :class:`~repro.resilience.ResilienceOptions`,
+no ``$REPRO_FAULTS`` plan) the batch is fail-fast: the first error
+propagates once the pool has shut down.  With one, the batch survives
+hostile conditions: per-task exceptions and ``BrokenProcessPool``
+trigger bounded retries with exponential backoff, exhausted tasks are
+quarantined (a ``None`` slot in the returned list) instead of aborting
+the sweep, stalled tasks are preempted by a parent-side wall deadline,
+and a checkpoint journal lets an interrupted sweep resume.  Either way,
+budget-truncated runs come back as partial saturation-flagged results.
+:func:`run_batch_report` always runs resiliently and exposes the full
+:class:`~repro.resilience.BatchReport`.  A fault-free batch returns the
+same results under either policy.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from repro.resilience.faults import (
     plan_from_env,
 )
 from repro.resilience.manifest import SweepJournal
-from repro.resilience.policy import ResilienceOptions
+from repro.resilience.policy import ResilienceOptions, RetryPolicy
 from repro.resilience.report import (
     ERROR_TIMEOUT,
     ERROR_WORKER_DIED,
@@ -90,6 +93,10 @@ KIND_CLOSED = "closed"
 
 #: Bound on how long pool teardown may block (joining dead workers).
 _TEARDOWN_GRACE = 5.0
+
+#: The policy a batch runs under when none resolves: one attempt, no
+#: deadline, no budget, no journal.
+_FAIL_FAST = ResilienceOptions(retry=RetryPolicy(max_retries=0))
 
 
 @dataclass(frozen=True)
@@ -227,10 +234,10 @@ def run_batch(tasks: Sequence[SimTask],
     ``jobs``/``cache``/``progress``/``resilience`` default to the
     ambient :class:`~repro.parallel.context.ExecutionContext` (serial,
     no cache, silent, fail-fast).  ``jobs <= 1`` runs
-    everything inline in this process — byte-for-byte today's serial
-    behavior; ``jobs > 1`` fans cache misses out over that many worker
-    processes.  ``progress`` is called once per result; in parallel
-    mode the call order follows completion order, not task order.
+    everything inline in this process; ``jobs > 1`` fans cache misses
+    out over that many worker processes.  ``progress`` is called once
+    per result; in parallel mode the call order follows completion
+    order, not task order.
 
     Tasks carrying telemetry options always execute (never served from
     or stored into the cache); their
@@ -238,12 +245,15 @@ def run_batch(tasks: Sequence[SimTask],
     ``telemetry_sink(task_index, telemetry)`` while the returned list
     still holds plain results at every position.
 
-    Without a failure policy, the first task exception propagates (the
-    historical contract).  With one — installed explicitly, through the
-    ambient context, or implicitly by a ``$REPRO_FAULTS`` plan — the
-    batch runs resiliently: failed tasks are retried then quarantined
-    (``None`` in the returned list) and the sweep always terminates;
-    use :func:`run_batch_report` to also get the failure manifest.
+    Without a failure policy the batch is fail-fast: the first task
+    error (the task's own exception, or ``BrokenProcessPool`` when a
+    worker dies) is re-raised once the pool has shut down, and a batch
+    with a single pending task runs in this process whatever ``jobs``
+    is.  With a policy — installed explicitly, through the ambient
+    context, or implicitly by a ``$REPRO_FAULTS`` plan — failed tasks
+    are retried then quarantined (``None`` in the returned list) and
+    the sweep always terminates; use :func:`run_batch_report` to also
+    get the failure manifest.
     """
     resolved = resolve_resilience(resilience)
     if resolved is None and plan_from_env() is not None:
@@ -251,74 +261,9 @@ def run_batch(tasks: Sequence[SimTask],
         # the default failure policy, else injected faults would simply
         # crash the sweep they are meant to exercise.
         resolved = ResilienceOptions()
-    if resolved is not None:
-        return _ResilientBatch(list(tasks), resolve_jobs(jobs),
-                               resolve_cache(cache),
-                               resolve_progress(progress),
-                               telemetry_sink, resolved).run().results
-
-    tasks = list(tasks)
-    n_jobs = resolve_jobs(jobs)
-    cache = resolve_cache(cache)
-    progress = resolve_progress(progress)
-
-    results: List[Optional[SimulationResult]] = [None] * len(tasks)
-    pending: List[int] = []
-    keys: List[Optional[str]] = [None] * len(tasks)
-
-    if cache is not None:
-        for index, task in enumerate(tasks):
-            if task.telemetry is not None:
-                pending.append(index)
-                continue
-            key = task.cache_key(cache)
-            keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                if progress is not None:
-                    progress(hit)
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(tasks)))
-
-    if not pending:
-        return results
-
-    def record(index: int, outcome) -> None:
-        if tasks[index].telemetry is not None:
-            result = outcome.result
-            if telemetry_sink is not None:
-                telemetry_sink(index, outcome)
-        elif type(outcome) is TruncatedResult:
-            # Partial metrics from a tripped budget: usable, never
-            # memoized as the point's true result.
-            result = outcome.result
-        else:
-            result = outcome
-            if cache is not None:
-                cache.put(keys[index], result)
-        results[index] = result
-        if progress is not None:
-            progress(result)
-
-    if n_jobs <= 1 or len(pending) == 1:
-        for index in pending:
-            record(index, execute_task(tasks[index]))
-        return results
-
-    workers = min(n_jobs, len(pending))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(execute_task, tasks[index]): index
-                   for index in pending}
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding,
-                                     return_when=FIRST_COMPLETED)
-            for future in done:
-                record(futures[future], future.result())
-    return results
+    return _ResilientBatch(list(tasks), resolve_jobs(jobs),
+                           resolve_cache(cache), resolve_progress(progress),
+                           telemetry_sink, resolved).run().results
 
 
 def run_batch_report(tasks: Sequence[SimTask],
@@ -343,13 +288,21 @@ BatchReport` (results, failure manifest, truncations, event totals).
 
 
 class _ResilientBatch:
-    """One resilient ``run_batch`` execution (single-use)."""
+    """One ``run_batch`` execution (single-use).
+
+    ``options=None`` makes the batch fail-fast: the same cache, pool
+    and accounting machinery runs under :data:`_FAIL_FAST`, and the
+    first task error is re-raised instead of charged to a retry.
+    """
 
     def __init__(self, tasks: List[SimTask], n_jobs: int,
                  cache: Optional[ResultCache],
                  progress: Optional[Callable],
                  telemetry_sink: Optional[Callable],
-                 options: ResilienceOptions) -> None:
+                 options: Optional[ResilienceOptions]) -> None:
+        self.fail_fast = options is None
+        if options is None:
+            options = _FAIL_FAST
         self.tasks = tasks
         self.n_jobs = n_jobs
         self.cache = cache
@@ -395,7 +348,9 @@ class _ResilientBatch:
             pending = self._serve_from_cache(
                 [i for i in range(len(self.tasks)) if not self.completed[i]])
             if pending:
-                if self.n_jobs <= 1:
+                # A fail-fast batch with one miss pays no pool start.
+                if self.n_jobs <= 1 or (self.fail_fast
+                                        and len(pending) == 1):
                     self._run_inline(pending)
                 else:
                     self._run_pool(pending)
@@ -463,6 +418,8 @@ class _ResilientBatch:
                     apply_worker_faults(specs)
                     outcome = execute_task(self._prepared(index))
                 except Exception as error:
+                    if self.fail_fast:
+                        raise
                     if self._charge(index, type(error).__name__,
                                     str(error)):
                         time.sleep(self._remaining_backoff(index))
@@ -526,10 +483,14 @@ class _ResilientBatch:
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
+                        if self.fail_fast:
+                            raise
                         futures[future] = index
                         broken = True
                         break
                     except Exception as error:
+                        if self.fail_fast:
+                            raise
                         if self._charge(index, type(error).__name__,
                                         str(error)):
                             queue.append(index)

@@ -25,19 +25,7 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import run_simulation, run_replications
 from repro.simulator.metrics import SimulationResult
 
-
-def __getattr__(name: str):
-    if name == "ALGORITHMS":
-        # Deprecated alias: the registry (repro.algorithms) is the
-        # source of truth; computed lazily so importing this package
-        # never snapshots a partially-populated registry.
-        from repro.algorithms import algorithm_names
-        return algorithm_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ALGORITHMS",
     "SimulationConfig",
     "SimulationResult",
     "run_replications",

@@ -68,15 +68,6 @@ assert (_workload_runtime._SEARCH, _workload_runtime._INSERT,
 _ROOT_SAMPLE_INTERVAL = 1.0
 
 
-def __getattr__(name: str):
-    if name == "_ALGORITHM_MODULES":
-        # Deprecated alias of the registry, kept for callers that
-        # enumerated the old name -> ops-module map.
-        from repro.algorithms import all_algorithms
-        return {spec.name: spec.ops for spec in all_algorithms()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class _GatedObserver:
     """Forwards lock waits to the per-level collector only while the
     measurement window is open."""

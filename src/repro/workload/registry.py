@@ -3,8 +3,7 @@
 Mirrors the :mod:`repro.algorithms` registry pattern: one canonical
 listing that the CLI (``btree-perf list-workloads``), the docs and the
 tests enumerate, so a new distribution registers itself here and shows
-up everywhere.  Each entry also exposes the spec's ``vector_native``
-flag (whether a pre-drawn stationary stream represents the component).
+up everywhere.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class WorkloadComponent:
     spec_type: Type
     #: One-line description for the CLI listing.
     label: str
-
-    @property
-    def vector_native(self) -> bool:
-        return bool(self.spec_type.vector_native)
 
 
 _ARRIVALS: Tuple[WorkloadComponent, ...] = (

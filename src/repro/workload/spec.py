@@ -60,14 +60,10 @@ def _require(condition: bool, message: str) -> None:
 class ArrivalSpec:
     """Base of the arrival-process specs.
 
-    ``kind`` names the process in the registry / CLI listing;
-    ``vector_native`` marks whether a pre-drawn, time-independent
-    stream of transformed uniforms represents this process exactly
-    (descriptive metadata: every run draws on the scalar path).
+    ``kind`` names the process in the registry / CLI listing.
     """
 
     kind: ClassVar[str] = "arrival"
-    vector_native: ClassVar[bool] = False
 
     def build(self, rate: float, rng):
         """A runtime sampler for this process at base ``rate``."""
@@ -95,7 +91,6 @@ class PoissonArrivals(ArrivalSpec):
     driver's) process, at exactly ``config.arrival_rate``."""
 
     kind: ClassVar[str] = "poisson"
-    vector_native: ClassVar[bool] = True
 
     def build(self, rate: float, rng):
         from repro.workload.arrivals import PoissonSampler
@@ -118,7 +113,6 @@ class MMPPArrivals(ArrivalSpec):
     """
 
     kind: ClassVar[str] = "mmpp"
-    vector_native: ClassVar[bool] = True
 
     on_factor: float = 3.0
     off_factor: float = 0.5
@@ -153,7 +147,6 @@ class ScheduleArrivals(ArrivalSpec):
     """
 
     kind: ClassVar[str] = "schedule"
-    vector_native: ClassVar[bool] = True
 
     segments: Tuple[Tuple[float, float], ...] = (
         (200.0, 0.5), (200.0, 1.5))
@@ -197,7 +190,6 @@ class SpikeArrivals(ArrivalSpec):
     """
 
     kind: ClassVar[str] = "spike"
-    vector_native: ClassVar[bool] = False
 
     multiplier: float = 8.0
     start: float = 200.0
@@ -235,7 +227,6 @@ class KeySpec:
     """Base of the key-distribution specs."""
 
     kind: ClassVar[str] = "keys"
-    vector_native: ClassVar[bool] = False
 
     def build(self, key_space: int, rng):
         """A runtime :class:`~repro.workload.keys.KeyPicker`."""
@@ -247,7 +238,6 @@ class UniformKeysSpec(KeySpec):
     """Uniform keys over ``[0, key_space)`` — the paper's workload."""
 
     kind: ClassVar[str] = "uniform"
-    vector_native: ClassVar[bool] = True
 
     def build(self, key_space: int, rng):
         from repro.workload.keys import UniformKeys
@@ -260,7 +250,6 @@ class HotspotKeysSpec(KeySpec):
     first ``hot_fraction`` of the key space (default 80/20)."""
 
     kind: ClassVar[str] = "hotspot"
-    vector_native: ClassVar[bool] = True
 
     hot_fraction: float = 0.2
     hot_probability: float = 0.8
@@ -291,7 +280,6 @@ class ZipfKeysSpec(KeySpec):
     """
 
     kind: ClassVar[str] = "zipf"
-    vector_native: ClassVar[bool] = True
 
     theta: float = 0.9
     scramble: bool = False
@@ -317,7 +305,6 @@ class MigratingHotspotKeysSpec(KeySpec):
     """
 
     kind: ClassVar[str] = "migrating"
-    vector_native: ClassVar[bool] = False
 
     hot_fraction: float = 0.2
     hot_probability: float = 0.8
@@ -396,12 +383,6 @@ class WorkloadSpec:
         """True when this spec reproduces the legacy driver exactly
         (and is therefore omitted from cache keys)."""
         return self == DEFAULT_WORKLOAD
-
-    def vector_native(self) -> bool:
-        """True when every component can be represented by a pre-drawn
-        stationary stream (see ``ArrivalSpec.vector_native``)."""
-        return (self.arrival.vector_native and self.keys.vector_native
-                and self.transaction.size == 1)
 
 
 #: The spec equal to "no spec": stationary Poisson, uniform keys,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -314,6 +315,63 @@ class TestFigurePipeline:
         assert cli_main(argv + ["--clear-cache", "--no-cache"]) == 0
         assert capsys.readouterr().out == first
         assert not list(tmp_path.glob("*/*.pkl"))  # cleared, not refilled
+
+
+# ----------------------------------------------------------------------
+# Fail-fast contract (no failure policy installed)
+# ----------------------------------------------------------------------
+class _TaskBoom(RuntimeError):
+    """A task error type the executor cannot have produced itself."""
+
+
+def _fail_on_seed(monkeypatch, bad_seed: int) -> list:
+    """Make ``run_simulation`` raise for ``bad_seed`` and run normally
+    otherwise; returns the list of seeds it was called with.  Patched
+    before any pool starts, so forked workers inherit it."""
+    import repro.simulator.driver as driver
+    real = driver.run_simulation
+    calls = []
+
+    def flaky(config, **kwargs):
+        calls.append(config.seed)
+        if config.seed == bad_seed:
+            raise _TaskBoom(f"seed {bad_seed} fails")
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(driver, "run_simulation", flaky)
+    return calls
+
+
+class TestFailFast:
+
+    def test_serial_first_error_propagates_and_stops_the_batch(
+            self, monkeypatch):
+        calls = _fail_on_seed(monkeypatch, bad_seed=2)
+        done = []
+        tasks = [SimTask(_quick(seed=seed)) for seed in (1, 2, 3, 4)]
+        with pytest.raises(_TaskBoom, match="seed 2 fails"):
+            run_batch(tasks, jobs=1, progress=done.append)
+        assert [result.seed for result in done] == [1]
+        assert calls == [1, 2]  # tasks after the failure never ran
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the patch only when forked")
+    def test_pool_error_propagates_and_reaps_workers(self, monkeypatch):
+        _fail_on_seed(monkeypatch, bad_seed=2)
+        tasks = [SimTask(_quick(seed=seed)) for seed in (1, 2, 3, 4)]
+        with pytest.raises(_TaskBoom, match="seed 2 fails"):
+            run_batch(tasks, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_single_pending_task_runs_in_process(self, monkeypatch):
+        import repro.parallel.executor as executor
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-task batch started a pool")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        [result] = run_batch([SimTask(_quick())], jobs=2)
+        assert result == run_simulation(_quick())
 
 
 # ----------------------------------------------------------------------

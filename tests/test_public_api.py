@@ -27,17 +27,6 @@ def test_version_present():
     assert repro.__version__
 
 
-def test_algorithm_registry_consistent():
-    """The config's algorithm names, the driver's module map and the
-    public ALGORITHMS tuple agree."""
-    from repro.simulator import ALGORITHMS
-    from repro.simulator.driver import _ALGORITHM_MODULES
-    assert set(ALGORITHMS) == set(_ALGORITHM_MODULES)
-    for name, module in _ALGORITHM_MODULES.items():
-        for op in ("search", "insert", "delete"):
-            assert callable(getattr(module, op)), f"{name} lacks {op}"
-
-
 def test_console_script_target_exists():
     from repro.experiments.runner import main
     assert callable(main)

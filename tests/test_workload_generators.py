@@ -266,16 +266,14 @@ class TestKeyPickerEdges:
 # ----------------------------------------------------------------------
 class TestTransactionSpecEdges:
 
-    def test_size_one_is_the_default_and_vector_native(self):
+    def test_size_one_is_the_default(self):
         spec = WorkloadSpec(transaction=TransactionSpec(size=1))
         assert spec.is_default()
-        assert spec.vector_native()
 
     def test_size_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
             TransactionSpec(size=0)
 
-    def test_multi_op_spec_not_vector_native(self):
+    def test_multi_op_spec_is_not_default(self):
         spec = WorkloadSpec(transaction=TransactionSpec(size=4))
         assert not spec.is_default()
-        assert not spec.vector_native()

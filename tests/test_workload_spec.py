@@ -52,22 +52,20 @@ class TestSpecSemantics:
         spec = WorkloadSpec()
         assert spec == DEFAULT_WORKLOAD
         assert spec.is_default()
-        assert spec.vector_native()
         assert spec.arrival.stationary()
 
-    @pytest.mark.parametrize("spec,native", [
-        (WorkloadSpec(arrival=MMPPArrivals()), True),
-        (WorkloadSpec(arrival=ScheduleArrivals()), True),
-        (WorkloadSpec(arrival=SpikeArrivals()), False),
-        (WorkloadSpec(keys=HotspotKeysSpec()), True),
-        (WorkloadSpec(keys=ZipfKeysSpec()), True),
-        (WorkloadSpec(keys=MigratingHotspotKeysSpec()), False),
-        (WorkloadSpec(transaction=TransactionSpec(size=3)), False),
+    @pytest.mark.parametrize("spec", [
+        WorkloadSpec(arrival=MMPPArrivals()),
+        WorkloadSpec(arrival=ScheduleArrivals()),
+        WorkloadSpec(arrival=SpikeArrivals()),
+        WorkloadSpec(keys=HotspotKeysSpec()),
+        WorkloadSpec(keys=ZipfKeysSpec()),
+        WorkloadSpec(keys=MigratingHotspotKeysSpec()),
+        WorkloadSpec(transaction=TransactionSpec(size=3)),
     ], ids=["mmpp", "schedule", "spike", "hotspot", "zipf",
             "migrating", "txn"])
-    def test_vector_native_per_component(self, spec, native):
+    def test_component_spec_is_not_default(self, spec):
         assert not spec.is_default()
-        assert spec.vector_native() is native
 
     def test_mmpp_defaults_are_mean_preserving(self):
         assert MMPPArrivals().mean_factor() == pytest.approx(1.0)
@@ -164,12 +162,6 @@ class TestRegistry:
             ["poisson", "mmpp", "schedule", "spike"]
         assert [c.name for c in keys] == \
             ["uniform", "hotspot", "zipf", "migrating"]
-
-    def test_vector_native_flags_match_specs(self):
-        assert get_arrival_process("mmpp").vector_native
-        assert not get_arrival_process("spike").vector_native
-        assert get_key_distribution("zipf").vector_native
-        assert not get_key_distribution("migrating").vector_native
 
     def test_unknown_component_lists_known_names(self):
         with pytest.raises(ConfigurationError, match="poisson"):
