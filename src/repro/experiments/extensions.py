@@ -53,6 +53,7 @@ from repro.model import (
 from repro.model.buffering import buffered_config, pages_for_top_levels
 from repro.model.params import OperationMix
 from repro.parallel import SimTask, run_batch
+from repro.workload.spec import HotspotKeysSpec, WorkloadSpec
 
 _NAIVE = get_algorithm(names.NAIVE_LOCK_COUPLING)
 _OPTIMISTIC = get_algorithm(names.OPTIMISTIC_DESCENT)
@@ -229,8 +230,8 @@ def ext05(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
         SimTask(base_sim_config(
             spec, arrival_rate=0.35, n_items=8_000,
             n_operations=n_ops, warmup_operations=max(20, n_ops // 10),
-            seed=23, key_distribution="hotspot",
-            hot_fraction=0.2, hot_probability=hot_probability))
+            seed=23, workload=WorkloadSpec(
+                keys=HotspotKeysSpec(0.2, hot_probability))))
         for hot_probability in skews for spec in specs]
     flat = iter(run_batch(tasks))
     for hot_probability in skews:

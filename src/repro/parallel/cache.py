@@ -25,8 +25,8 @@ torn pickle, and each entry carries a SHA-256 payload checksum
 (:data:`ENTRY_MAGIC` header) so *any* on-disk corruption — truncation,
 bit rot, a concurrent writer torn mid-entry — degrades to a cache miss
 instead of feeding a damaged result into a sweep.  Unreadable or
-unverifiable entries are deleted and recomputed; entries from the older
-headerless format still load when their pickle is intact.
+unverifiable entries, headerless ones included, are deleted and
+recomputed.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Any, Optional
 
 from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
+from repro.workload.spec import HotspotKeysSpec, WorkloadSpec
 
 #: Code-version salt folded into every cache key.  Bump it whenever a
 #: simulator change alters results for the same configuration; every
@@ -84,10 +85,22 @@ def _canonical(value: Any) -> Any:
                     f"for cache keying: {value!r}")
 
 
-def _is_default_workload(workload: Any) -> bool:
-    """True when ``workload`` is the default spec (legacy behaviour)."""
-    from repro.workload.spec import DEFAULT_WORKLOAD
-    return workload == DEFAULT_WORKLOAD
+#: The retired ``SimulationConfig`` key-skew fields, which every cache
+#: key written before they moved into ``workload`` carries.
+_LEGACY_KEY_FIELDS = ("key_distribution", "hot_fraction", "hot_probability")
+_UNIFORM_KEYS = ("uniform", 0.2, 0.8)
+
+
+def _legacy_key_values(workload: WorkloadSpec) -> Optional[tuple]:
+    """The values of :data:`_LEGACY_KEY_FIELDS` that stood for
+    ``workload`` before it existed, or None when only the spec itself
+    can describe it."""
+    if workload.is_default():
+        return _UNIFORM_KEYS
+    keys = workload.keys
+    if type(keys) is HotspotKeysSpec and workload == WorkloadSpec(keys=keys):
+        return "hotspot", keys.hot_fraction, keys.hot_probability
+    return None
 
 
 def config_key(config: SimulationConfig, *, kind: str = "open",
@@ -99,18 +112,22 @@ def config_key(config: SimulationConfig, *, kind: str = "open",
     processes and Python invocations (no reliance on ``hash()`` or
     pickle byte stability); changing ``salt`` changes every key.
 
-    A config whose ``workload`` is absent *or equal to the default
-    spec* hashes exactly as it did before the field existed (both
-    reproduce the legacy behaviour bit-identically), so pre-existing
-    cache entries stay valid without a CODE_SALT bump; any non-default
-    :class:`~repro.workload.spec.WorkloadSpec` is content-hashed into
-    the key like every other field.
+    Configs hash as they did before key skew moved into ``workload``:
+    the payload carries the retired ``key_distribution``,
+    ``hot_fraction`` and ``hot_probability`` entries, and the default
+    spec or a bare ``WorkloadSpec(keys=HotspotKeysSpec(f, p))`` is
+    written as those three entries alone (``"uniform", 0.2, 0.8`` or
+    ``"hotspot", f, p``).  Any other spec is content-hashed beside the
+    uniform entries.  Entries cached before the move therefore stay
+    valid without a CODE_SALT bump.
     """
     config_payload = _canonical(config)
-    if isinstance(config_payload, dict):
-        workload = getattr(config, "workload", None)
-        if workload is None or _is_default_workload(workload):
-            config_payload.pop("workload", None)
+    legacy = _legacy_key_values(config.workload)
+    if legacy is None:
+        legacy = _UNIFORM_KEYS
+    else:
+        del config_payload["workload"]
+    config_payload.update(zip(_LEGACY_KEY_FIELDS, legacy))
     payload = {
         "salt": salt,
         "kind": kind,
@@ -179,20 +196,16 @@ class ResultCache:
         return result
 
     def _decode(self, blob: bytes) -> Any:
-        """Verify and unpickle one entry body.
-
-        Checksummed entries must verify exactly; headerless blobs are
-        treated as the pre-checksum format and loaded directly (their
-        own pickle framing still catches truncation).
-        """
-        if blob.startswith(ENTRY_MAGIC):
-            header_end = len(ENTRY_MAGIC) + _DIGEST_SIZE
-            digest = blob[len(ENTRY_MAGIC):header_end]
-            payload = blob[header_end:]
-            if hashlib.sha256(payload).digest() != digest:
-                raise ValueError("cache entry checksum mismatch")
-            return pickle.loads(payload)
-        return pickle.loads(blob)
+        """Verify and unpickle one entry body; a blob without the
+        :data:`ENTRY_MAGIC` header or with a wrong checksum raises."""
+        if not blob.startswith(ENTRY_MAGIC):
+            raise ValueError("cache entry has no checksum header")
+        header_end = len(ENTRY_MAGIC) + _DIGEST_SIZE
+        digest = blob[len(ENTRY_MAGIC):header_end]
+        payload = blob[header_end:]
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError("cache entry checksum mismatch")
+        return pickle.loads(payload)
 
     def _reject(self, path: Path) -> None:
         """Count and delete an unusable entry; always a miss."""

@@ -19,26 +19,11 @@ from __future__ import annotations
 import random
 
 from repro.algorithms import get_algorithm
-from repro.btree.builder import warm_tree
-from repro.btree.node import Node
-from repro.des.engine import Simulator
-from repro.des.rwlock import RWLock
 from repro.errors import ConfigurationError
 from repro.simulator.config import SimulationConfig
-from repro.simulator.costs import ServiceTimeSampler
-from repro.simulator.driver import _GatedObserver
-from repro.simulator.metrics import MetricsCollector, SimulationResult, summarize
-from repro.simulator.operations import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_SEARCH,
-    OperationContext,
-    pick_resident_key,
-)
+from repro.simulator.driver import _finish, _root_sampler, _RunState, _set_up
+from repro.simulator.operations import OP_DELETE, pick_resident_key
 from repro.workload.runtime import WorkloadRuntime
-
-#: Interval between root-utilization samples (as in the open driver).
-_ROOT_SAMPLE_INTERVAL = 1.0
 
 
 def run_closed_simulation(config: SimulationConfig,
@@ -65,6 +50,13 @@ def run_closed_simulation(config: SimulationConfig,
     if think_time < 0:
         raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
 
+    if config.workload.transaction.size != 1:
+        # Transaction envelopes are an open-system construct.
+        raise ConfigurationError(
+            "transaction envelopes are not modelled in the closed "
+            "system (each terminal already serialises its operations); "
+            "use the open simulator for TransactionSpec(size > 1)")
+
     module = get_algorithm(config.algorithm).closed_module
     seed_root = random.Random(config.seed)
     build_seed = seed_root.randrange(2 ** 63)
@@ -72,37 +64,15 @@ def run_closed_simulation(config: SimulationConfig,
     rng_service = random.Random(seed_root.randrange(2 ** 63))
     rng_think = random.Random(seed_root.randrange(2 ** 63))
 
-    metrics = MetricsCollector(seed=config.seed)
-
-    def attach_lock(node: Node) -> None:
-        node.lock = RWLock(name=f"n{node.node_id}",
-                           observer=_GatedObserver(metrics, node.level))
-
-    tree = warm_tree(
-        config.n_items, order=config.order,
-        insert_fraction=config.mix.insert_share or 1.0,
-        merge_policy=config.merge_policy, key_space=config.key_space,
-        seed=build_seed, on_new_node=attach_lock,
-    )
-    sim = Simulator()
-    sampler = ServiceTimeSampler(config.costs, tree, rng_service)
-    ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
-                           recovery=config.recovery,
-                           t_trans=config.t_trans)
+    metrics, tree, sim, ctx = _set_up(config, build_seed, rng_keys,
+                                      rng_service)
+    state = _RunState()
     warmup = config.warmup_operations
-    target = config.n_operations
-    completions = [0]
 
     # Key distribution and (hoisted) mix thresholds come from the
-    # workload layer.  The arrival process is ignored — the fixed
-    # population is the load control in a closed system — and
-    # transaction envelopes are an open-system construct.
+    # workload layer.  The arrival process is ignored: the fixed
+    # population is the load control in a closed system.
     runtime = WorkloadRuntime(config, rng_keys)
-    if runtime.transaction_size != 1:
-        raise ConfigurationError(
-            "transaction envelopes are not modelled in the closed "
-            "system (each terminal already serialises its operations); "
-            "use the open simulator for TransactionSpec(size > 1)")
     picker = runtime.picker
 
     def draw_operation() -> tuple:
@@ -119,52 +89,17 @@ def run_closed_simulation(config: SimulationConfig,
                 yield rng_think.expovariate(1.0 / think_time)
             op_name, key = draw_operation()
             yield from getattr(module, op_name)(ctx, key)
-            completions[0] += 1
-            if completions[0] == warmup and not metrics.measuring:
+            state.completions += 1
+            if state.completions == warmup and not metrics.measuring:
                 metrics.measuring = True
                 metrics.measure_start_time = sim.now
-
-    if warmup == 0:
-        metrics.measuring = True
-        metrics.measure_start_time = 0.0
-
-    def root_sampler():
-        while True:
-            yield _ROOT_SAMPLE_INTERVAL
-            lock = tree.root.lock
-            present = lock.writer is not None or lock.writer_waiting()
-            metrics.record_root_sample(present,
-                                       queue_length=lock.queue_length)
 
     for index in range(multiprogramming_level):
         sim.spawn(terminal(), name=f"terminal-{index}",
                   delay=index * 1e-6)  # stagger identical start times
-    sim.spawn(root_sampler(), name="root-sampler")
+    sim.spawn(_root_sampler(tree, metrics), name="root-sampler")
     metrics.note_population(multiprogramming_level)
 
-    def done() -> bool:
-        return metrics.measured_operations >= target
-
-    guard = None
-    if budget is None:
-        sim.run(stop_when=done)
-    else:
-        from repro.resilience.budget import BudgetGuard
-        guard = BudgetGuard(budget)
-        # exceeded() runs first so every executed event is counted.
-        sim.run(stop_when=lambda: guard.exceeded() or done())
-    metrics.measure_end_time = sim.now
-
-    tripped = guard is not None and guard.tripped
-    result = summarize(
-        metrics, algorithm=config.algorithm,
-        arrival_rate=float("nan"),  # no open arrival stream
-        seed=config.seed, overflowed=tripped,
-        tree_size=len(tree), tree_height=tree.height,
-    )
-    if tripped:
-        from repro.resilience.budget import TruncatedResult
-        return TruncatedResult(result=result, reason=guard.reason,
-                               events_executed=guard.events,
-                               wall_seconds=guard.elapsed())
-    return result
+    # No open arrival stream, hence no arrival rate.
+    return _finish(config, sim, metrics, tree, state, budget,
+                   arrival_rate=float("nan"))

@@ -9,7 +9,7 @@ from repro.algorithms.names import DEFAULT_ALGORITHM
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.errors import ConfigurationError
 from repro.model.params import PAPER_MIX, CostModel, OperationMix
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import DEFAULT_WORKLOAD, WorkloadSpec
 
 #: Default key universe; large enough that random inserts rarely collide.
 DEFAULT_KEY_SPACE = 1 << 30
@@ -56,23 +56,13 @@ class SimulationConfig:
     #: Only meaningful for link-style algorithms (registered with
     #: ``supports_compaction``), the ones that never merge inline.
     compaction_interval: Optional[float] = None
-    #: Key-selection distribution: "uniform" (the paper's workload) or
-    #: "hotspot" (a contiguous hot key range, concentrating contention
-    #: on one subtree).
-    key_distribution: str = "uniform"
-    #: Hotspot parameters (used when key_distribution == "hotspot"):
-    #: ``hot_probability`` of the accesses target the first
-    #: ``hot_fraction`` of the key space (default 80/20).
-    hot_fraction: float = 0.2
-    hot_probability: float = 0.8
     #: Full workload description (arrival process, key distribution,
     #: transaction envelope) — see :mod:`repro.workload` and
-    #: ``docs/workloads.md``.  ``None`` (and the default
-    #: ``WorkloadSpec()``) reproduces the legacy stationary-Poisson /
-    #: ``key_distribution`` behaviour bit-identically and is omitted
-    #: from result-cache keys; a non-default spec supersedes the legacy
-    #: ``key_distribution`` fields and is content-hashed into the key.
-    workload: Optional[WorkloadSpec] = None
+    #: ``docs/workloads.md``.  The default spec is the paper's workload
+    #: (stationary Poisson arrivals, uniform keys, single operations);
+    #: key skew such as the 80/20 hotspot is a ``keys`` spec
+    #: (``WorkloadSpec(keys=HotspotKeysSpec(0.2, 0.8))``).
+    workload: WorkloadSpec = DEFAULT_WORKLOAD
 
     def __post_init__(self) -> None:
         # Local import: repro.algorithms may still be initialising when
@@ -106,20 +96,10 @@ class SimulationConfig:
             if self.compaction_interval <= 0:
                 raise ConfigurationError(
                     "compaction_interval must be positive")
-        if self.key_distribution not in ("uniform", "hotspot"):
+        if not isinstance(self.workload, WorkloadSpec):
             raise ConfigurationError(
-                f"unknown key distribution {self.key_distribution!r}; "
-                "expected 'uniform' or 'hotspot'")
-        if self.workload is not None:
-            if not isinstance(self.workload, WorkloadSpec):
-                raise ConfigurationError(
-                    f"workload must be a WorkloadSpec, got "
-                    f"{type(self.workload).__name__}")
-            if self.key_distribution != "uniform":
-                raise ConfigurationError(
-                    "workload and key_distribution are mutually "
-                    "exclusive: express the skew through the workload's "
-                    "key spec (e.g. HotspotKeysSpec)")
+                f"workload must be a WorkloadSpec, got "
+                f"{type(self.workload).__name__}")
         if self.merge_policy is not MERGE_AT_EMPTY:
             raise ConfigurationError(
                 "the concurrent simulator requires merge-at-empty (the "

@@ -47,9 +47,7 @@ from repro.simulator.operations import (
     pick_resident_key,
 )
 from repro.obs.instruments import NULL_INSTRUMENTS
-from repro.workload.keys import KeyPicker
 from repro.workload.runtime import WorkloadRuntime
-from repro.workload.spec import effective_workload
 from repro.workload.transactions import (
     TransactionLockTable,
     transaction_envelope,
@@ -84,7 +82,7 @@ class _GatedObserver:
 
 
 class _RunState:
-    """Mutable run bookkeeping shared by the driver's closures."""
+    """Mutable run bookkeeping shared by the drivers' closures."""
 
     __slots__ = ("population", "completions", "overflowed")
 
@@ -92,6 +90,107 @@ class _RunState:
         self.population = 0
         self.completions = 0
         self.overflowed = False
+
+
+def _set_up(config: SimulationConfig, build_seed: int,
+            rng_keys: random.Random, rng_service: random.Random,
+            trace=None, telemetry=None):
+    """The metrics collector, warm tree, engine and operation context
+    one run executes on (shared by the open and closed drivers).
+
+    Every node, including those later concurrent splits create, gets
+    an R/W lock whose waits count only while measuring.  With
+    ``telemetry`` the collector also feeds the ``sim.response`` timer
+    and every lock is watched; the timer is created before the tree is
+    built.  Measurement starts at once when there is no warm-up.
+    """
+    metrics = MetricsCollector(seed=config.seed)
+    if telemetry is not None:
+        # Fold every measured response into a Timer instrument as well,
+        # so the exported counters carry the latency totals.
+        response_timer = telemetry.instruments.timer("sim.response")
+        record_response = metrics.record_response
+
+        def record_and_time(operation: str, elapsed: float) -> None:
+            record_response(operation, elapsed)
+            if metrics.measuring:
+                response_timer.observe(elapsed)
+
+        metrics.record_response = record_and_time
+
+    def attach_lock(node: Node) -> None:
+        lock = RWLock(name=f"n{node.node_id}",
+                      observer=_GatedObserver(metrics, node.level))
+        if telemetry is not None:
+            telemetry.watch(lock, node.level)
+        node.lock = lock
+
+    tree = warm_tree(
+        config.n_items, order=config.order,
+        insert_fraction=config.mix.insert_share or 1.0,
+        merge_policy=config.merge_policy, key_space=config.key_space,
+        seed=build_seed, on_new_node=attach_lock,
+    )
+    sim = Simulator(trace=trace,
+                    instruments=telemetry.instruments
+                    if telemetry is not None else None)
+    sampler = ServiceTimeSampler(config.costs, tree, rng_service)
+    ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
+                           recovery=config.recovery, t_trans=config.t_trans)
+    if config.warmup_operations == 0:
+        metrics.measuring = True
+        metrics.measure_start_time = 0.0
+    return metrics, tree, sim, ctx
+
+
+def _root_sampler(tree, metrics: MetricsCollector):
+    """Sample root writer presence and queue length every
+    :data:`_ROOT_SAMPLE_INTERVAL` (the rho_w of Figure 10)."""
+    while True:
+        yield _ROOT_SAMPLE_INTERVAL
+        lock = tree.root.lock
+        present = lock.writer is not None or lock.writer_waiting()
+        metrics.record_root_sample(present, queue_length=lock.queue_length)
+
+
+def _finish(config: SimulationConfig, sim: Simulator,
+            metrics: MetricsCollector, tree, state: _RunState, budget,
+            arrival_rate: float, telemetry=None):
+    """Run ``sim`` until ``config.n_operations`` operations are measured,
+    the population overflows or ``budget`` trips, then summarize.
+
+    A tripped budget wraps the partial summary, flagged ``overflowed``,
+    in a :class:`~repro.resilience.TruncatedResult`.
+    """
+    target = config.n_operations
+
+    def done() -> bool:
+        return (metrics.measured_operations >= target) or state.overflowed
+
+    guard = None
+    if budget is None:
+        sim.run(stop_when=done)
+    else:
+        from repro.resilience.budget import BudgetGuard
+        guard = BudgetGuard(budget)
+        # exceeded() runs first so every executed event is counted.
+        sim.run(stop_when=lambda: guard.exceeded() or done())
+    metrics.measure_end_time = sim.now
+
+    tripped = guard is not None and guard.tripped
+    result = summarize(
+        metrics, algorithm=config.algorithm, arrival_rate=arrival_rate,
+        seed=config.seed, overflowed=state.overflowed or tripped,
+        tree_size=len(tree), tree_height=tree.height,
+    )
+    if telemetry is not None:
+        telemetry.finalize(result)
+    if tripped:
+        from repro.resilience.budget import TruncatedResult
+        return TruncatedResult(result=result, reason=guard.reason,
+                               events_executed=guard.events,
+                               wall_seconds=guard.elapsed())
+    return result
 
 
 def run_simulation(config: SimulationConfig, trace=None,
@@ -124,43 +223,10 @@ def run_simulation(config: SimulationConfig, trace=None,
     rng_keys = random.Random(seed_root.randrange(2 ** 63))
     rng_service = random.Random(seed_root.randrange(2 ** 63))
 
-    metrics = MetricsCollector(seed=config.seed)
-    if telemetry is not None:
-        # Fold every measured response into a Timer instrument as well,
-        # so the exported counters carry the latency totals.
-        response_timer = telemetry.instruments.timer("sim.response")
-        record_response = metrics.record_response
-
-        def record_and_time(operation: str, elapsed: float) -> None:
-            record_response(operation, elapsed)
-            if metrics.measuring:
-                response_timer.observe(elapsed)
-
-        metrics.record_response = record_and_time
-
-    def attach_lock(node: Node) -> None:
-        lock = RWLock(name=f"n{node.node_id}",
-                      observer=_GatedObserver(metrics, node.level))
-        if telemetry is not None:
-            telemetry.watch(lock, node.level)
-        node.lock = lock
-
-    tree = warm_tree(
-        config.n_items, order=config.order,
-        insert_fraction=config.mix.insert_share or 1.0,
-        merge_policy=config.merge_policy, key_space=config.key_space,
-        seed=build_seed, on_new_node=attach_lock,
-    )
-
-    sim = Simulator(trace=trace,
-                    instruments=telemetry.instruments
-                    if telemetry is not None else None)
-    sampler = ServiceTimeSampler(config.costs, tree, rng_service)
-    ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
-                           recovery=config.recovery, t_trans=config.t_trans)
+    metrics, tree, sim, ctx = _set_up(config, build_seed, rng_keys,
+                                      rng_service, trace, telemetry)
     state = _RunState()
     warmup = config.warmup_operations
-    target = config.n_operations
 
     def on_operation_done(_process) -> None:
         state.population -= 1
@@ -168,10 +234,6 @@ def run_simulation(config: SimulationConfig, trace=None,
         if state.completions == warmup and not metrics.measuring:
             metrics.measuring = True
             metrics.measure_start_time = sim.now
-
-    if warmup == 0:
-        metrics.measuring = True
-        metrics.measure_start_time = 0.0
 
     runtime = WorkloadRuntime(config, rng_keys)
     picker = runtime.picker
@@ -258,16 +320,8 @@ def run_simulation(config: SimulationConfig, trace=None,
             observe_gap(gap)
             spawn()
 
-    def root_sampler():
-        while True:
-            yield _ROOT_SAMPLE_INTERVAL
-            lock = tree.root.lock
-            present = lock.writer is not None or lock.writer_waiting()
-            metrics.record_root_sample(present,
-                                       queue_length=lock.queue_length)
-
     sim.spawn(arrivals(), name="arrivals")
-    sim.spawn(root_sampler(), name="root-sampler")
+    sim.spawn(_root_sampler(tree, metrics), name="root-sampler")
     if telemetry is not None:
         sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
                   name="telemetry-sampler")
@@ -276,54 +330,8 @@ def run_simulation(config: SimulationConfig, trace=None,
         sim.spawn(compactor(ctx, config.compaction_interval),
                   name="compactor")
 
-    def done() -> bool:
-        return (metrics.measured_operations >= target) or state.overflowed
-
-    guard = None
-    if budget is None:
-        sim.run(stop_when=done)
-    else:
-        from repro.resilience.budget import BudgetGuard
-        guard = BudgetGuard(budget)
-        # exceeded() runs first so every executed event is counted.
-        sim.run(stop_when=lambda: guard.exceeded() or done())
-    metrics.measure_end_time = sim.now
-
-    tripped = guard is not None and guard.tripped
-    result = summarize(
-        metrics, algorithm=config.algorithm,
-        arrival_rate=config.arrival_rate, seed=config.seed,
-        overflowed=state.overflowed or tripped, tree_size=len(tree),
-        tree_height=tree.height,
-    )
-    if telemetry is not None:
-        telemetry.finalize(result)
-    if tripped:
-        from repro.resilience.budget import TruncatedResult
-        return TruncatedResult(result=result, reason=guard.reason,
-                               events_executed=guard.events,
-                               wall_seconds=guard.elapsed())
-    return result
-
-
-def make_key_picker(config: SimulationConfig,
-                    rng: random.Random) -> KeyPicker:
-    """The key-selection distribution the configuration asks for,
-    resolved through the workload layer (the explicit ``workload``
-    field wins; the legacy ``key_distribution`` fields map onto the
-    equivalent spec)."""
-    return effective_workload(config).keys.build(config.key_space, rng)
-
-
-def _draw_operation(config: SimulationConfig, rng: random.Random) -> str:
-    """Deprecated per-call mix draw (kept for external callers; the
-    driver hoists the thresholds through :class:`WorkloadRuntime`)."""
-    u = rng.random()
-    if u < config.mix.q_search:
-        return OP_SEARCH
-    if u < config.mix.q_search + config.mix.q_insert:
-        return OP_INSERT
-    return OP_DELETE
+    return _finish(config, sim, metrics, tree, state, budget,
+                   config.arrival_rate, telemetry)
 
 
 def run_replications(config: SimulationConfig,

@@ -3,8 +3,8 @@
 A workload is declared as a frozen :class:`WorkloadSpec` — arrival
 process x key distribution x transaction envelope — set on
 :class:`~repro.simulator.config.SimulationConfig` and content-hashed
-into result-cache keys.  The default spec reproduces the legacy
-stationary-Poisson/uniform behaviour bit-identically.
+into result-cache keys.  The default spec is the paper's
+stationary-Poisson/uniform workload.
 
 See ``docs/workloads.md`` for the spec format, the built-in traces and
 how to add a distribution; ``btree-perf list-workloads`` prints the
@@ -47,7 +47,6 @@ from repro.workload.spec import (
     UniformKeysSpec,
     WorkloadSpec,
     ZipfKeysSpec,
-    effective_workload,
     mix_thresholds,
 )
 from repro.workload.transactions import (
@@ -84,7 +83,6 @@ __all__ = [
     "all_arrival_processes",
     "all_key_distributions",
     "draw_operation",
-    "effective_workload",
     "get_arrival_process",
     "get_key_distribution",
     "mix_thresholds",

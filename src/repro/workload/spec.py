@@ -16,16 +16,19 @@ single load knob a sweep varies, and a spec describes the *shape* of
 the traffic around it (``PoissonArrivals()`` is factor 1 everywhere —
 today's stationary stream).
 
-``DEFAULT_WORKLOAD`` (`WorkloadSpec()` with every default) reproduces
-the legacy behaviour bit-identically and is excluded from cache keys,
-so pre-existing cached results stay valid (no CODE_SALT bump).
+``DEFAULT_WORKLOAD`` (`WorkloadSpec()` with every default) is the
+paper's workload and the default of ``SimulationConfig.workload``.  It
+and a bare ``WorkloadSpec(keys=HotspotKeysSpec(f, p))`` hash into
+result-cache keys exactly as configs did before key skew moved into the
+spec (:func:`repro.parallel.cache.config_key`), so older cached results
+stay valid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -359,10 +362,11 @@ class TransactionSpec:
 class WorkloadSpec:
     """One workload: arrival process + key distribution + transactions.
 
-    Frozen and content-hashable: a non-default spec set on
-    :class:`~repro.simulator.config.SimulationConfig` is folded into
-    the on-disk result-cache key, while the default spec (and
-    ``workload=None``) hashes exactly as before the field existed.
+    Frozen and content-hashable: the ``workload`` of every
+    :class:`~repro.simulator.config.SimulationConfig` (default
+    :data:`DEFAULT_WORKLOAD`).  The result-cache key folds in any spec
+    except the default and a bare hotspot, which hash in the pre-spec
+    form (see :func:`repro.parallel.cache.config_key`).
     """
 
     arrival: ArrivalSpec = field(default_factory=PoissonArrivals)
@@ -380,12 +384,12 @@ class WorkloadSpec:
                  f"got {type(self.transaction).__name__}")
 
     def is_default(self) -> bool:
-        """True when this spec reproduces the legacy driver exactly
-        (and is therefore omitted from cache keys)."""
+        """True when this is the paper's workload (stationary Poisson,
+        uniform keys, single operations)."""
         return self == DEFAULT_WORKLOAD
 
 
-#: The spec equal to "no spec": stationary Poisson, uniform keys,
+#: The paper's workload: stationary Poisson, uniform keys,
 #: single-operation transactions.
 DEFAULT_WORKLOAD = WorkloadSpec()
 
@@ -412,20 +416,3 @@ def mix_thresholds(mix) -> Tuple[float, float]:
             f"q_delete={q_delete}) sums to {total}, not 1")
     return q_search, q_search + q_insert
 
-
-def effective_workload(config) -> Optional[WorkloadSpec]:
-    """The :class:`WorkloadSpec` a simulation config asks for.
-
-    ``config.workload`` when set; otherwise a spec derived from the
-    legacy ``key_distribution`` fields (``"hotspot"`` maps to
-    :class:`HotspotKeysSpec` with the config's parameters, anything
-    else to the default spec).
-    """
-    workload = getattr(config, "workload", None)
-    if workload is not None:
-        return workload
-    if getattr(config, "key_distribution", "uniform") == "hotspot":
-        return WorkloadSpec(keys=HotspotKeysSpec(
-            hot_fraction=config.hot_fraction,
-            hot_probability=config.hot_probability))
-    return DEFAULT_WORKLOAD

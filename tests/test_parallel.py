@@ -17,6 +17,7 @@ from repro.parallel import (
     replication_tasks,
     run_batch,
 )
+from repro.parallel.cache import ENTRY_MAGIC
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import (
     pooled_response_means,
@@ -187,17 +188,25 @@ class TestResultCache:
         assert recovered == expected
         assert ResultCache(tmp_path).get(key) == expected
 
-    def test_legacy_headerless_entry_still_loads(self, tmp_path):
-        # Entries written before the checksum header must remain
-        # readable (no CODE_SALT bump accompanied the format change).
+    def test_headerless_entry_is_rejected_and_recomputed(self, tmp_path):
+        # A bare pickle without the checksum header cannot be verified,
+        # so it is never served: it is deleted, counted as an error and
+        # recomputed into the checksummed format.
         cache = ResultCache(tmp_path)
         [expected] = run_batch([SimTask(_quick())], cache=cache)
         key = SimTask(_quick()).cache_key(cache)
-        cache.path_for(key).write_bytes(
+        path = cache.path_for(key)
+        path.write_bytes(
             pickle.dumps(expected, protocol=pickle.HIGHEST_PROTOCOL))
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == expected
-        assert fresh.stats.errors == 0
+        assert fresh.get(key) is None
+        assert fresh.stats.errors == 1
+        assert not path.exists()
+        [recovered] = run_batch([SimTask(_quick())], cache=fresh)
+        assert recovered == expected
+        assert fresh.stats.stores == 1
+        assert path.read_bytes().startswith(ENTRY_MAGIC)
+        assert ResultCache(tmp_path).get(key) == expected
 
     def test_clear_empties_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

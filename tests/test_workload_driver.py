@@ -2,10 +2,11 @@
 
 The central promises:
 
-* the default spec (``workload=None`` or ``WorkloadSpec()``) produces
-  **byte-identical** results to the pre-workload driver (the golden
-  fingerprints in ``tests/test_des_kernel_hotpath.py`` enforce the
-  absolute baseline; here we enforce None == explicit default);
+* the default spec (the config default, or an explicit
+  ``WorkloadSpec()``) produces **byte-identical** results to the
+  pre-workload driver (the golden fingerprints in
+  ``tests/test_des_kernel_hotpath.py`` enforce the absolute baseline;
+  here we enforce config default == explicit default);
 * non-default workloads are deterministic under a fixed seed and flow
   through the open driver, the closed driver and telemetry;
 * transaction envelopes complete without deadlock and report their
@@ -72,16 +73,6 @@ class TestDefaultPathIdentity:
         spec = run_closed_simulation(_config(workload=WorkloadSpec()),
                                      6, think_time=1.0)
         assert fingerprint(plain) == fingerprint(spec)
-
-    def test_hotspot_spec_matches_legacy_key_distribution(self):
-        legacy = _config(key_distribution="hotspot", hot_fraction=0.2,
-                         hot_probability=0.8)
-        spec = _config(workload=WorkloadSpec(keys=HotspotKeysSpec(
-            hot_fraction=0.2, hot_probability=0.8)))
-        assert fingerprint(run_simulation(legacy)) == \
-            fingerprint(run_simulation(spec))
-        assert fingerprint(run_closed_simulation(legacy, 6)) == \
-            fingerprint(run_closed_simulation(spec, 6))
 
 
 # ----------------------------------------------------------------------

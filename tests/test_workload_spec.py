@@ -1,10 +1,10 @@
 """WorkloadSpec plumbing: validation, registry, cache keys, model.
 
-The load-bearing contract: the default :class:`WorkloadSpec` (and
-``workload=None``) must hash and behave exactly like the pre-workload
-configuration — cache keys unchanged, no CODE_SALT bump — while any
-non-default spec is content-hashed into the key like every other
-config field.
+The load-bearing contract: the default :class:`WorkloadSpec` (the
+config default) and a bare hotspot spec must hash exactly like the
+pre-spec configurations they replaced — cache keys unchanged, no
+CODE_SALT bump — while any other spec is content-hashed into the key
+like every other config field.
 """
 
 from types import SimpleNamespace
@@ -29,7 +29,6 @@ from repro.workload import (
     ZipfKeysSpec,
     all_arrival_processes,
     all_key_distributions,
-    effective_workload,
     get_arrival_process,
     get_key_distribution,
     mix_thresholds,
@@ -100,29 +99,51 @@ class TestSpecSemantics:
 class TestConfigIntegration:
 
     def test_effective_workload_resolution(self):
-        assert effective_workload(_config()) == DEFAULT_WORKLOAD
+        assert _config().workload is DEFAULT_WORKLOAD
         explicit = WorkloadSpec(arrival=MMPPArrivals())
-        assert effective_workload(_config(workload=explicit)) is explicit
-        legacy = _config(key_distribution="hotspot", hot_fraction=0.1,
-                         hot_probability=0.9)
-        assert effective_workload(legacy) == WorkloadSpec(
-            keys=HotspotKeysSpec(hot_fraction=0.1, hot_probability=0.9))
+        assert _config(workload=explicit).workload is explicit
 
-    def test_config_rejects_non_spec_workload(self):
+    @pytest.mark.parametrize("workload", ["mmpp", None],
+                             ids=["string", "none"])
+    def test_config_rejects_non_spec_workload(self, workload):
         with pytest.raises(ConfigurationError, match="WorkloadSpec"):
-            _config(workload="mmpp")
-
-    def test_workload_and_legacy_skew_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError,
-                           match="mutually exclusive"):
-            _config(workload=WorkloadSpec(keys=HotspotKeysSpec()),
-                    key_distribution="hotspot")
+            _config(workload=workload)
 
 
 # ----------------------------------------------------------------------
 # Cache keys
 # ----------------------------------------------------------------------
 class TestCacheKeys:
+
+    # Keys computed before key skew moved from the retired
+    # key_distribution/hot_fraction/hot_probability config fields into
+    # the workload spec; a cache filled then must still be served.
+    @pytest.mark.parametrize("config,kind,extra,expected", [
+        (SimulationConfig(), "open", None,
+         "7f0942ac2b60fb05d71b453dd3d78112bc85ffc556ab0e07eb2b2ff7585db99e"),
+        (SimulationConfig(), "closed", {"mpl": 4},
+         "091cf0fbe4f9f81730f4b447cb4dcb7991487a41a9b7a16409c7a5caa730a615"),
+        # One ext05 point (paper scale, 95% of accesses on 20% of keys).
+        (SimulationConfig(
+            algorithm="naive-lock-coupling", arrival_rate=0.35,
+            n_items=8_000, n_operations=1_500, warmup_operations=150,
+            seed=23, workload=WorkloadSpec(
+                keys=HotspotKeysSpec(0.2, 0.95))), "open", None,
+         "3db3d1587244f193c091fea44e467cb772cc06026ca51096903e61f91726c45e"),
+        (SimulationConfig(workload=WorkloadSpec(keys=HotspotKeysSpec())),
+         "open", None,
+         "389a0f455978f050b62c4830bfb64d5b7566d5f4b55fd4c308a3dc083aac68c2"),
+        (SimulationConfig(workload=WorkloadSpec(arrival=MMPPArrivals())),
+         "open", None,
+         "4ff2ae875c9c66cddb7521effa3aa47047207c4817c5e01621de97dcbf49a60d"),
+        (SimulationConfig(algorithm="link-type", workload=WorkloadSpec(
+            keys=ZipfKeysSpec(theta=0.9))), "open", None,
+         "dd93afa315baf11016568048ef3ff7e3dff8d862ee09fc79f746399f518c638e"),
+    ], ids=["default", "closed-mpl4", "ext05-hotspot", "hotspot-80-20",
+            "mmpp", "zipf"])
+    def test_keys_match_pre_spec_configs(self, config, kind, extra,
+                                         expected):
+        assert config_key(config, kind=kind, extra=extra) == expected
 
     def test_default_spec_key_equals_no_spec_key(self):
         assert config_key(_config(workload=WorkloadSpec())) == \
@@ -138,8 +159,11 @@ class TestCacheKeys:
             WorkloadSpec(arrival=MMPPArrivals(on_factor=4.0)),
             WorkloadSpec(keys=ZipfKeysSpec()),
             WorkloadSpec(transaction=TransactionSpec(size=3)),
+            # A hotspot hashes in the pre-spec form only on its own.
+            WorkloadSpec(keys=HotspotKeysSpec()),
+            WorkloadSpec(arrival=MMPPArrivals(), keys=HotspotKeysSpec()),
         )}
-        assert len(keys) == 4
+        assert len(keys) == 6
         assert base not in keys
 
     def test_same_non_default_spec_hashes_stably(self):
