@@ -37,7 +37,9 @@ class Node:
         self.keys: List[int] = []
         self.right: Optional["Node"] = None
         self.high_key: Optional[int] = None
-        #: Concurrency-control slot; the simulator attaches an RWLock here.
+        #: Concurrency-control slot: the simulator attaches an RWLock
+        #: here the first time an operation acquires the node (None
+        #: until then).
         self.lock = None
         #: Set when the node has been removed from the tree (merge-at-empty
         #: deallocation); descents that raced here must restart/relink.

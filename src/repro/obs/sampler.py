@@ -33,8 +33,9 @@ class LevelState:
     ``held_read`` / ``held_write`` count node locks currently granted in
     each mode across the level; ``queued`` counts waiting requests;
     ``grants_read`` / ``grants_write`` accumulate totals; ``nodes``
-    counts locks ever attached at the level (nodes are created by
-    splits but never recycled, so this is also the allocation count).
+    counts the nodes ever created at the level, locked or not (nodes
+    are created by splits but never recycled, so this is also the
+    allocation count).
     """
 
     __slots__ = ("level", "nodes", "held_read", "held_write", "queued",
@@ -110,12 +111,14 @@ class TelemetrySampler:
             self.levels[level] = state
         return state
 
-    def watch(self, lock, level: int) -> None:
-        """Register one node lock: future grants/releases/queueing on it
-        update the level's aggregate counters."""
-        state = self.level_state(level)
-        state.nodes += 1
-        lock.telemetry = state
+    def count_node(self, level: int) -> None:
+        """Count one node created at ``level`` (locked or not)."""
+        self.level_state(level).nodes += 1
+
+    def wire_lock(self, lock, level: int) -> None:
+        """Route one node lock's future grants/releases/queueing into
+        the level's aggregate counters."""
+        lock.telemetry = self.level_state(level)
 
     def sample(self, now: float, in_flight: int, events: int) -> None:
         snapshot = tuple(

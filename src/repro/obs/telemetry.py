@@ -142,10 +142,6 @@ class TelemetryRecorder:
                                         self.options.ring_capacity)
         self.telemetry: Optional[RunTelemetry] = None
 
-    def watch(self, lock, level: int) -> None:
-        """Attach one node lock to its level's live aggregate state."""
-        self.sampler.watch(lock, level)
-
     def sampler_process(self, sim, in_flight: Callable[[], int]):
         """The periodic sampling process to spawn into ``sim``."""
         return self.sampler.process(sim, in_flight,

@@ -24,6 +24,7 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import _finish, _root_sampler, _RunState, _set_up
 from repro.simulator.operations import OP_DELETE, pick_resident_key
 from repro.workload.runtime import WorkloadRuntime
+from repro.workload.spec import PoissonArrivals
 
 
 def run_closed_simulation(config: SimulationConfig,
@@ -33,8 +34,10 @@ def run_closed_simulation(config: SimulationConfig,
     ``multiprogramming_level`` concurrent operations.
 
     ``config.arrival_rate`` is ignored (the population is the load
-    control); ``think_time`` is the mean exponential pause a terminal
-    takes between operations (0 = back-to-back).  The returned
+    control), and a non-Poisson ``config.workload.arrival`` raises
+    :class:`~repro.errors.ConfigurationError`; ``think_time`` is the
+    mean exponential pause a terminal takes between operations (0 =
+    back-to-back).  The returned
     :class:`~repro.simulator.metrics.SimulationResult` reports the
     achieved throughput — the closed system's primary output.
 
@@ -57,6 +60,14 @@ def run_closed_simulation(config: SimulationConfig,
             "system (each terminal already serialises its operations); "
             "use the open simulator for TransactionSpec(size > 1)")
 
+    if not isinstance(config.workload.arrival, PoissonArrivals):
+        # The fixed population is the load control: an arrival process
+        # would be ignored, yet the result cache would key on it.
+        raise ConfigurationError(
+            "the closed system has no arrival stream; "
+            f"{config.workload.arrival.kind!r} arrivals would be ignored. "
+            "Use the default PoissonArrivals() or the open simulator")
+
     module = get_algorithm(config.algorithm).closed_module
     seed_root = random.Random(config.seed)
     build_seed = seed_root.randrange(2 ** 63)
@@ -70,8 +81,8 @@ def run_closed_simulation(config: SimulationConfig,
     warmup = config.warmup_operations
 
     # Key distribution and (hoisted) mix thresholds come from the
-    # workload layer.  The arrival process is ignored: the fixed
-    # population is the load control in a closed system.
+    # workload layer; the arrival process is Poisson (checked above)
+    # and unused.
     runtime = WorkloadRuntime(config, rng_keys)
     picker = runtime.picker
 

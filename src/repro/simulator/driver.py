@@ -4,8 +4,9 @@
 
 1. builds the B-tree out of a random insert/delete sequence with the same
    insert/delete proportions as the concurrent mix (construction phase);
-2. attaches a FCFS R/W lock to every node (including nodes created later
-   by concurrent splits);
+2. gives every node (including nodes created later by concurrent
+   splits) a FCFS R/W lock, created the first time an operation
+   acquires it;
 3. releases concurrent operations in a Poisson stream, each performing a
    real search / insert / delete through the chosen algorithm's
    processes, with exponential service times;
@@ -98,11 +99,16 @@ def _set_up(config: SimulationConfig, build_seed: int,
     """The metrics collector, warm tree, engine and operation context
     one run executes on (shared by the open and closed drivers).
 
-    Every node, including those later concurrent splits create, gets
-    an R/W lock whose waits count only while measuring.  With
-    ``telemetry`` the collector also feeds the ``sim.response`` timer
-    and every lock is watched; the timer is created before the tree is
-    built.  Measurement starts at once when there is no warm-up.
+    A node's R/W lock, whose waits count only while measuring, is
+    created by ``ctx.new_lock`` when an operation first acquires it; a
+    lock nobody has held accumulates nothing, so creating it late
+    changes no number.  The tree's node hook does per-level bookkeeping
+    only: it registers each level's wait observer (so every level that
+    exists has a ``level_waits`` entry, locked or not) and, with
+    ``telemetry``, counts the level's nodes.  With ``telemetry`` the
+    collector also feeds the ``sim.response`` timer, created before the
+    tree is built, and every lock feeds its level's live state.
+    Measurement starts at once when there is no warm-up.
     """
     metrics = MetricsCollector(seed=config.seed)
     if telemetry is not None:
@@ -118,18 +124,29 @@ def _set_up(config: SimulationConfig, build_seed: int,
 
         metrics.record_response = record_and_time
 
-    def attach_lock(node: Node) -> None:
-        lock = RWLock(name=f"n{node.node_id}",
-                      observer=_GatedObserver(metrics, node.level))
-        if telemetry is not None:
-            telemetry.watch(lock, node.level)
-        node.lock = lock
+    observers: Dict[int, _GatedObserver] = {}
+    levels = telemetry.sampler if telemetry is not None else None
+
+    def note_node(node: Node) -> None:
+        level = node.level
+        if level not in observers:
+            observers[level] = _GatedObserver(metrics, level)
+        if levels is not None:
+            levels.count_node(level)
+
+    def new_lock(node: Node) -> RWLock:
+        level = node.level
+        lock = node.lock = RWLock(name=f"n{node.node_id}",
+                                  observer=observers[level])
+        if levels is not None:
+            levels.wire_lock(lock, level)
+        return lock
 
     tree = warm_tree(
         config.n_items, order=config.order,
         insert_fraction=config.mix.insert_share or 1.0,
         merge_policy=config.merge_policy, key_space=config.key_space,
-        seed=build_seed, on_new_node=attach_lock,
+        seed=build_seed, on_new_node=note_node,
     )
     sim = Simulator(trace=trace,
                     instruments=telemetry.instruments
@@ -137,6 +154,7 @@ def _set_up(config: SimulationConfig, build_seed: int,
     sampler = ServiceTimeSampler(config.costs, tree, rng_service)
     ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
                            recovery=config.recovery, t_trans=config.t_trans)
+    ctx.new_lock = new_lock
     if config.warmup_operations == 0:
         metrics.measuring = True
         metrics.measure_start_time = 0.0
@@ -145,10 +163,14 @@ def _set_up(config: SimulationConfig, build_seed: int,
 
 def _root_sampler(tree, metrics: MetricsCollector):
     """Sample root writer presence and queue length every
-    :data:`_ROOT_SAMPLE_INTERVAL` (the rho_w of Figure 10)."""
+    :data:`_ROOT_SAMPLE_INTERVAL` (the rho_w of Figure 10).  A root
+    nobody has locked yet has no lock: it samples idle."""
     while True:
         yield _ROOT_SAMPLE_INTERVAL
         lock = tree.root.lock
+        if lock is None:
+            metrics.record_root_sample(False, queue_length=0)
+            continue
         present = lock.writer is not None or lock.writer_waiting()
         metrics.record_root_sample(present, queue_length=lock.queue_length)
 

@@ -73,7 +73,7 @@ def _write_descent(ctx: OperationContext, key: int, for_insert: bool,
         while not node.is_leaf:
             yield ctx.sampler.search(node.level)
             child = node.child_for(key)
-            yield child.lock.acquire_write
+            yield (child.lock or ctx.new_lock(child)).acquire_write
             if child.dead:  # pragma: no cover - coupling pins children
                 yield from release_all(locked)
                 yield child.lock.release_cmd

@@ -10,6 +10,10 @@ atomically in simulated time, so
 structural tree changes made while holding the right locks are race-free
 by construction (the same property the paper's simulator relies on).
 
+A node's lock is created the first time an operation acquires it: every
+acquire site reads ``(node.lock or ctx.new_lock(node))``, and release
+sites read ``node.lock`` (the node is locked, so the lock exists).
+
 Restart rules (the only deviations from the textbook protocols, both
 consequences of implementing the algorithms on a *growing/shrinking*
 tree):
@@ -26,12 +30,13 @@ tree):
 from __future__ import annotations
 
 import random
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.btree.node import LeafNode, Node
 from repro.btree.tree import BPlusTree
 from repro.des.engine import Simulator
 from repro.des.process import READ
+from repro.des.rwlock import RWLock
 from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import MetricsCollector
 
@@ -45,11 +50,14 @@ class OperationContext:
     """Everything an operation process needs, bundled.
 
     The context also carries the recovery policy knobs so the Optimistic
-    Descent operations can retain W locks past completion (Section 7).
+    Descent operations can retain W locks past completion (Section 7),
+    and ``new_lock(node)``, which creates, attaches and returns the lock
+    of a node that has none yet (default: a plain :class:`RWLock`
+    named ``n<node_id>``; the driver installs one wired to its metrics).
     """
 
     __slots__ = ("sim", "tree", "sampler", "metrics", "rng",
-                 "retain_leaf", "retain_all", "t_trans")
+                 "retain_leaf", "retain_all", "t_trans", "new_lock")
 
     def __init__(self, sim: Simulator, tree: BPlusTree,
                  sampler: ServiceTimeSampler, metrics: MetricsCollector,
@@ -64,10 +72,17 @@ class OperationContext:
         self.retain_leaf = recovery in ("leaf-only-recovery", "naive-recovery")
         self.retain_all = recovery == "naive-recovery"
         self.t_trans = t_trans
+        self.new_lock: Callable[[Node], RWLock] = plain_lock
 
     def finish(self, operation: str, started_at: float) -> None:
         """Record the operation's response time (now minus arrival)."""
         self.metrics.record_response(operation, self.sim.now - started_at)
+
+
+def plain_lock(node: Node) -> RWLock:
+    """Attach a plain R/W lock to ``node`` and return it."""
+    lock = node.lock = RWLock(f"n{node.node_id}")
+    return lock
 
 
 def acquire_valid_root(ctx: OperationContext, mode: str) -> Generator:
@@ -78,7 +93,7 @@ def acquire_valid_root(ctx: OperationContext, mode: str) -> Generator:
     read = mode == READ
     while True:
         node = ctx.tree.root
-        lock = node.lock
+        lock = node.lock or ctx.new_lock(node)
         yield lock.acquire_read if read else lock.acquire_write
         if node is ctx.tree.root and not node.dead:
             return node
@@ -104,7 +119,7 @@ def coupled_read_descent(ctx: OperationContext, key: int,
     while node.level > stop_level:
         yield ctx.sampler.search(node.level)
         child = node.child_for(key)
-        yield child.lock.acquire_read
+        yield (child.lock or ctx.new_lock(child)).acquire_read
         yield node.lock.release_cmd
         if child.dead:  # pragma: no cover - pinned by coupling; root edge only
             yield child.lock.release_cmd

@@ -81,7 +81,7 @@ def _hybrid_descent(ctx: OperationContext, key: int,
             continue
         yield ctx.sampler.search(parent.level)
         top = parent.child_for(key)
-        yield top.lock.acquire_write
+        yield (top.lock or ctx.new_lock(top)).acquire_write
         yield parent.lock.release_cmd
         if top.dead:  # pragma: no cover - coupling pins the child
             yield top.lock.release_cmd
@@ -112,7 +112,7 @@ def _write_subdescent(ctx: OperationContext, top: Node, key: int,
     while not node.is_leaf:
         yield ctx.sampler.search(node.level)
         child = node.child_for(key)
-        yield child.lock.acquire_write
+        yield (child.lock or ctx.new_lock(child)).acquire_write
         if child.dead:  # pragma: no cover - coupling pins children
             yield from release_all(locked)
             yield child.lock.release_cmd

@@ -63,7 +63,7 @@ def _full_descent(ctx: OperationContext, key: int,
         while not node.is_leaf:
             yield ctx.sampler.search(node.level)
             child = node.child_for(key)
-            lock = child.lock
+            lock = child.lock or ctx.new_lock(child)
             yield lock.acquire_read if read else lock.acquire_write
             if child.dead:  # pragma: no cover - path fully locked
                 yield from release_all(locked)

@@ -23,7 +23,6 @@ from repro.workload.mixes import (
     PAPER_MIX,
     READ_HEAVY,
     UPDATE_HEAVY,
-    draw_operation,
 )
 from repro.workload.registry import (
     WorkloadComponent,
@@ -82,7 +81,6 @@ __all__ = [
     "ZipfKeysSpec",
     "all_arrival_processes",
     "all_key_distributions",
-    "draw_operation",
     "get_arrival_process",
     "get_key_distribution",
     "mix_thresholds",

@@ -1,4 +1,4 @@
-"""Named operation mixes and mix sampling.
+"""Named operation mixes.
 
 The mix triple (q_s, q_i, q_d) is the single workload knob of the
 paper's framework.  ``PAPER_MIX`` is the Section 5.3 setting; the
@@ -7,8 +7,6 @@ and the sensitivity benchmarks.
 """
 
 from __future__ import annotations
-
-import random
 
 from repro.model.params import OperationMix
 from repro.model.params import PAPER_MIX  # re-exported
@@ -22,19 +20,4 @@ UPDATE_HEAVY = OperationMix(q_search=0.1, q_insert=0.6, q_delete=0.3)
 #: Pure ingest (append-style loading).
 INSERT_ONLY = OperationMix(q_search=0.0, q_insert=1.0, q_delete=0.0)
 
-#: Operation labels in drawing order.
-_OPERATIONS = ("search", "insert", "delete")
-
-
-def draw_operation(mix: OperationMix, rng: random.Random) -> str:
-    """Sample an operation type ("search" / "insert" / "delete")."""
-    u = rng.random()
-    if u < mix.q_search:
-        return "search"
-    if u < mix.q_search + mix.q_insert:
-        return "insert"
-    return "delete"
-
-
-__all__ = ["INSERT_ONLY", "PAPER_MIX", "READ_HEAVY", "UPDATE_HEAVY",
-           "draw_operation"]
+__all__ = ["INSERT_ONLY", "PAPER_MIX", "READ_HEAVY", "UPDATE_HEAVY"]

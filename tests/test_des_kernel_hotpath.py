@@ -9,7 +9,9 @@ interned commands, bare-float holds, O(1) writer-waiting counter):
   consumption, or result contents shows up here (and must be paired
   with a ``CODE_SALT`` bump in ``repro.parallel.cache``).  The same
   digests must hold when the warm-up tree comes from the construction
-  memo instead of a fresh build.
+  memo instead of a fresh build.  Two telemetry runs are hashed too,
+  over their whole NDJSON export (per-level node counts, series and
+  engine counters included).
 * **Typed-event scheduling paths** — every heap-record kind
   (action / start / resume) and every command spelling the step loop
   accepts, including the error paths.
@@ -29,6 +31,7 @@ from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
 from repro.des.distributions import Hyperexponential
 from repro.des.trace import TraceLog
 from repro.errors import ProcessError
+from repro.obs import TelemetryOptions, TelemetryRecorder, dumps_ndjson
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.closed import run_closed_simulation
 
@@ -116,6 +119,30 @@ def test_golden_seed_closed_system_on_memo_hit():
         config, multiprogramming_level=8, think_time=2.0)) for _ in range(2)]
     assert len(builder._memo) == 1
     assert digests == [GOLDEN_CLOSED, GOLDEN_CLOSED]
+
+
+#: (algorithm, arrival_rate) -> sha256 of the ``dumps_ndjson`` export
+#: of one seed-1 telemetry run at the shared scale, captured while every
+#: node's lock was still created with the node.
+GOLDEN_TELEMETRY = {
+    ("link-type", 0.06):
+        "64fe4c26cf059004a9bb35bd6cd6f9cbc3024dd180db40f6ff588b410750a10c",
+    ("naive-lock-coupling", 0.03):
+        "1b2ede037d8051bf75a6a225025d24ad65a6d6b88727839a53e8685e8c95a064",
+}
+
+
+@pytest.mark.parametrize("algorithm,rate", sorted(GOLDEN_TELEMETRY),
+                         ids=lambda v: str(v))
+def test_golden_seed_telemetry_export(algorithm, rate):
+    config = SimulationConfig(algorithm=algorithm, arrival_rate=rate,
+                              n_items=2000, n_operations=400,
+                              warmup_operations=50, seed=1)
+    recorder = TelemetryRecorder(TelemetryOptions())
+    run_simulation(config, telemetry=recorder)
+    digest = hashlib.sha256(
+        dumps_ndjson(recorder.telemetry).encode()).hexdigest()
+    assert digest == GOLDEN_TELEMETRY[(algorithm, rate)]
 
 
 # ----------------------------------------------------------------------

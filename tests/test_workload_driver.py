@@ -102,6 +102,14 @@ class TestNonDefaultWorkloads:
         with pytest.raises(ConfigurationError, match="closed"):
             run_closed_simulation(_config(workload=_TRACES["txn"]), 4)
 
+    @pytest.mark.parametrize("name", ["mmpp", "schedule", "spike"])
+    def test_closed_driver_rejects_arrival_processes(self, name):
+        # A closed system has no arrival stream; the process would be
+        # ignored while the result cache still keyed on it.
+        with pytest.raises(ConfigurationError,
+                           match=f"closed system.*'{name}'"):
+            run_closed_simulation(_config(workload=_TRACES[name]), 4)
+
     def test_closed_driver_runs_non_default_keys(self):
         config = _config(workload=_TRACES["zipf"])
         assert fingerprint(run_closed_simulation(config, 4)) == \
